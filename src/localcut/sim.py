@@ -1,25 +1,25 @@
 """Distributed one-round cut algorithms on explicit graphs.
 
-Everything upstream works on the weighted neighbourhood graph; this module
-runs the actual algorithms on concrete instances. It provides triangle-free
-regular graph generators, the three node rules (uniform, two-thirds majority
-fallback, threshold), the virtual-neighbour wrapper for irregular graphs, and
-Monte Carlo measurement of cut weights and per-edge statistics.
+Triangle-free regular graph generators, the node rules (uniform, two-thirds
+majority fallback, threshold), the virtual-neighbour wrapper for irregular
+graphs, and Monte Carlo measurement of cut weights and per-edge statistics.
 
-Randomness contract: trial t of master seed s uses a counter-based generator
-keyed by (s, t), so trials are reproducible and independent, and runs with
-different algorithms on the same (seed, trial) share the same base cut c1.
-Within a trial, bits are drawn in node-index order, one array per cut.
-Like-mindedness is the equality convention throughout: a neighbour u of v
-counts towards l(v) when c1(u) == c1(v).
+Randomness contract: trial t of master seed s draws from Philox4x64-10 keyed
+by (s mod 2^64, t), so trials are reproducible and independent, and runs of
+different algorithms at the same (seed, trial) share the base cut c1. Within
+a trial, bits are drawn in node-index order, one array per cut.
+Like-mindedness is the equality convention: a neighbour u of v counts
+towards l(v) when c1(u) == c1(v).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from itertools import product
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -58,9 +58,7 @@ class RegularGraph:
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(
-            (u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v
-        )
+        return tuple((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
 
     @property
     def edge_count(self) -> int:
@@ -77,26 +75,6 @@ class RegularGraph:
     @property
     def is_strict(self) -> bool:
         return self.is_regular and not self.triangle_edges
-
-
-def _triangle_flags(adjacency: Sequence[Tuple[int, ...]]) -> frozenset:
-    """Edges lying in at least one triangle, by sorted-adjacency intersection."""
-    flagged = set()
-    for u, nbrs in enumerate(adjacency):
-        for v in nbrs:
-            if u >= v:
-                continue
-            a, b = adjacency[u], adjacency[v]
-            i = j = 0
-            while i < len(a) and j < len(b):
-                if a[i] == b[j]:
-                    flagged.add((u, v))
-                    break
-                if a[i] < b[j]:
-                    i += 1
-                else:
-                    j += 1
-    return frozenset(flagged)
 
 
 def from_edges(
@@ -123,19 +101,18 @@ def from_edges(
         nbrs[v].add(u)
     for u, s in enumerate(nbrs):
         if len(s) > degree:
-            raise ValueError(
-                f"node {u} has degree {len(s)}, above the declared bound {degree}"
-            )
+            raise ValueError(f"node {u} has degree {len(s)}, above the declared bound {degree}")
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    return RegularGraph(node_count, degree, adjacency, _triangle_flags(adjacency))
+    # an edge lies in a triangle when its endpoints share a neighbour
+    flagged = frozenset((u, v) for u, a in enumerate(nbrs) for v in a if u < v and a & nbrs[v])
+    return RegularGraph(node_count, degree, adjacency, flagged)
 
 
 def complete_bipartite(d: int) -> RegularGraph:
     """K_{d,d}: nodes 0..d-1 on one side, d..2d-1 on the other."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    edges = [(u, d + v) for u in range(d) for v in range(d)]
-    return from_edges(2 * d, d, edges)
+    return from_edges(2 * d, d, [(u, d + v) for u in range(d) for v in range(d)])
 
 
 def cycle_graph(n: int) -> RegularGraph:
@@ -148,45 +125,29 @@ def hypercube_graph(k: int) -> RegularGraph:
     """k-dimensional hypercube: 2^k nodes, k-regular, bipartite."""
     if k < 1:
         raise ValueError("dimension must be >= 1")
-    edges = [
-        (x, x ^ (1 << b)) for x in range(1 << k) for b in range(k) if x < x ^ (1 << b)
-    ]
+    edges = [(x, x | 1 << b) for x in range(1 << k) for b in range(k) if not x >> b & 1]
     return from_edges(1 << k, k, edges)
 
 
 def petersen_graph() -> RegularGraph:
     """The Petersen graph: 3-regular, girth 5, not bipartite."""
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))  # outer cycle
-        edges.append((i, 5 + i))  # spokes
-        edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
+    # outer cycle, spokes, inner pentagram
+    edges = [e for i in range(5) for e in ((i, (i + 1) % 5), (i, 5 + i), (5 + i, 5 + (i + 2) % 5))]
     return from_edges(10, 3, edges)
 
 
 def gen_fixed(family: str, *, d: Optional[int] = None, n: Optional[int] = None) -> RegularGraph:
-    """Deterministic test instances by family name.
-
-    kdd needs d; cycle needs n; hypercube takes its dimension as d;
-    petersen takes no parameters.
-    """
-    if family == "kdd":
-        if d is None:
-            raise ValueError("family kdd needs d")
-        return complete_bipartite(d)
-    if family == "cycle":
-        if n is None:
-            raise ValueError("family cycle needs n")
-        return cycle_graph(n)
-    if family == "hypercube":
-        if d is None:
-            raise ValueError("family hypercube needs d (the dimension)")
-        return hypercube_graph(d)
+    """Deterministic test instances by family name."""
     if family == "petersen":
         return petersen_graph()
-    raise ValueError(
-        f"unknown family {family!r}; expected kdd, cycle, hypercube, or petersen"
-    )
+    builders = {"kdd": (complete_bipartite, d, "d"), "cycle": (cycle_graph, n, "n"),
+                "hypercube": (hypercube_graph, d, "d (the dimension)")}
+    if family not in builders:
+        raise ValueError(f"unknown family {family!r}; expected kdd, cycle, hypercube, or petersen")
+    build, arg, name = builders[family]
+    if arg is None:
+        raise ValueError(f"family {family} needs {name}")
+    return build(arg)
 
 
 def random_bipartite_regular(
@@ -233,7 +194,7 @@ def random_triangle_free(
         raise ValueError("d must be >= 1")
     if n <= d:
         raise ValueError("need n > d for a simple d-regular graph")
-    if (n * d) % 2 != 0:
+    if n * d % 2:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
@@ -262,8 +223,7 @@ def random_triangle_free(
 def write_edge_list(fh: TextIO, g: RegularGraph) -> None:
     """Plain text format: `n m d` header, then one `u v` line per edge."""
     fh.write(f"{g.node_count} {g.edge_count} {g.degree}\n")
-    for u, v in g.edges:
-        fh.write(f"{u} {v}\n")
+    fh.writelines(f"{u} {v}\n" for u, v in g.edges)
 
 
 def read_edge_list(fh: TextIO) -> RegularGraph:
@@ -273,7 +233,7 @@ def read_edge_list(fh: TextIO) -> RegularGraph:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"expected header 'n m d', got {lines[0]!r}")
-    n, m, d = (int(x) for x in header)
+    n, m, d = map(int, header)
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []
@@ -288,27 +248,32 @@ def read_edge_list(fh: TextIO) -> RegularGraph:
 # ---------------------------------------------------------------------------
 # Node rules, as pure functions of the drawn bits
 
-# All rules read bits as numpy uint8 arrays indexed by node. The pure
-# appliers exist so that locality is testable without touching the RNG:
-# change a non-neighbour's bit and node v's output must not change.
+# All rules read bits as numpy uint8 arrays indexed by node; trailing axes,
+# if any, are independent trials. The pure appliers exist so that locality
+# is testable without touching the RNG: change a non-neighbour's bit and
+# node v's output must not change.
 
 
 def like_counts(nbr_matrix: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """l(v) = number of neighbours agreeing with v, equality convention."""
-    return (bits[nbr_matrix] == bits[:, None]).sum(axis=1)
+    """l(v) = number of neighbours agreeing with v, equality convention.
+
+    Row v of nbr_matrix indexes v's neighbours in bits; counted per column,
+    in the smallest dtype that holds d + 1.
+    """
+    own = bits[: len(nbr_matrix)]
+    like = np.zeros(own.shape, np.min_scalar_type(nbr_matrix.shape[1] + 1))
+    for col in nbr_matrix.T:
+        like += np.take(bits, col, axis=0) == own
+    return like
 
 
 def apply_threshold_rule(nbr_matrix: np.ndarray, c1: np.ndarray, tau: int) -> np.ndarray:
     """Keep own bit while fewer than tau neighbours agree, else flip."""
-    return np.where(like_counts(nbr_matrix, c1) < tau, c1, c1 ^ 1)
+    return apply_virtual_rule(nbr_matrix, c1, c1[:0], tau)
 
 
 def apply_shearer_rule(
-    nbr_matrix: np.ndarray,
-    d: int,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    c3: np.ndarray,
+    nbr_matrix: np.ndarray, d: int, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray
 ) -> np.ndarray:
     """Follow c1 below d/2 agreement, c2 above, c3 breaking the tie.
 
@@ -316,40 +281,78 @@ def apply_shearer_rule(
     edges locally), falls back to the fresh cut c2 when over half agree, and
     at exactly d/2 follows c1 if its c3 bit is 0 and c2 if it is 1.
     """
-    like2 = 2 * like_counts(nbr_matrix, c1)
-    keep_c1 = (like2 < d) | ((like2 == d) & (c3 == 0))
+    like = like_counts(nbr_matrix, c1)
+    rest = d - like  # disagreeing neighbours
+    keep_c1 = (like < rest) | ((like == rest) & (c3 == 0))
     return np.where(keep_c1, c1, c2)
 
 
 def apply_virtual_rule(
-    padded_matrix: np.ndarray,
-    c1: np.ndarray,
-    virtual_bits: np.ndarray,
-    tau: int,
+    padded_matrix: np.ndarray, c1: np.ndarray, virtual_bits: np.ndarray, tau: int
 ) -> np.ndarray:
-    """Threshold rule where padding columns index into the virtual bits.
-
-    padded_matrix rows have length d; real neighbour entries index c1,
-    padding entries index positions len(c1)..len(c1)+len(virtual_bits)-1 of
-    the concatenated vector. Outputs cover the real nodes only.
-    """
+    """Threshold rule where padding entries index virtual_bits, appended to c1."""
     ext = np.concatenate([c1, virtual_bits]).astype(np.uint8)
-    like = (ext[padded_matrix] == c1[:, None]).sum(axis=1)
-    return np.where(like < tau, c1, c1 ^ 1)
+    return c1 ^ (like_counts(padded_matrix, ext) >= tau)
 
 
 # ---------------------------------------------------------------------------
 # Seeded execution
 
+# Trials per block: max(1, BLOCK_SLOTS // bits drawn per trial).
+BLOCK_SLOTS = 1 << 14
+
 
 def make_trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based generator for one trial, keyed by (seed, trial)."""
-    return np.random.Generator(np.random.Philox(key=[seed & UINT64_MASK, trial]))
+    """Counter-based generator for one trial, keyed by (seed mod 2^64, trial)."""
+    key = np.array([seed & UINT64_MASK, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def draw_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform bits; the unit in which the randomness budget is counted."""
     return rng.integers(0, 2, size=count, dtype=np.uint8)
+
+
+def _mulhi(a: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """High 64 bits of a * (m1 * 2^32 + m0), summed in 32-bit limbs."""
+    low, s = np.uint64(0xFFFFFFFF), np.uint64(32)
+    a0, a1 = a & low, a >> s
+    t = (a0 * m0 >> s) + a1 * m0
+    w = (t & low) + a0 * m1
+    return a1 * m1 + (t >> s) + (w >> s)
+
+
+def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[np.ndarray]:
+    """Chained draw_bits(make_trial_rng(seed, t), n), n in sizes, for a block.
+
+    Evaluates Philox4x64-10 under key (seed mod 2^64, t) for t0 <= t <
+    t0 + trials at once and returns one (n, trials) uint8 array per draw,
+    bit for bit numpy's stream: the counter starts at 1, each uint64 splits
+    into two uint32 (low half first), each uint32 into four bytes (low byte
+    first), bit = byte >> 7, and every draw starts on a fresh uint32.
+    """
+    words = [-(-n // 4) for n in sizes]
+    counters = -(-sum(words) // 8)
+    # state words 0, 2 are multiplied; words 1, 3 are xored into them
+    mul = np.zeros((2, trials, counters), np.uint64)
+    mul[0] = np.arange(1, counters + 1, dtype=np.uint64)
+    xor = np.zeros_like(mul)
+    key = np.empty((2, trials, 1), np.uint64)
+    key[0] = seed & UINT64_MASK
+    key[1, :, 0] = np.arange(t0, t0 + trials, dtype=np.uint64)
+    # Philox4x64-10 (Salmon et al., SC'11): multipliers of words 0, 2 and the
+    # key's Weyl increments, built per call (numpy work at import would cost
+    # every command resident memory)
+    m = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+    w = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+    m0, m1 = m & np.uint64(0xFFFFFFFF), m >> np.uint64(32)
+    for _ in range(10):
+        mul, xor = _mulhi(mul, m0, m1)[::-1] ^ xor ^ key, (mul * m)[::-1]
+        key = key + w
+    state = np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1).astype("<u8", copy=False)
+    bits = (state.view(np.uint8).reshape(trials, -1) >> 7).T.copy()
+    starts = np.cumsum([0] + words) * 4
+    return [bits[s : s + n] for s, n in zip(starts, sizes)]
 
 
 def labels_from_bits(bits: np.ndarray) -> NodeLabels:
@@ -361,7 +364,7 @@ def cut_fraction(g: RegularGraph, labels: NodeLabels) -> Fraction:
     for v in range(g.node_count):
         if labels.get(v) not in LABEL_FOR_BIT:
             raise ValueError(f"node {v} is missing a valid side label")
-    cut = sum(1 for u, v in g.edges if labels[u] != labels[v])
+    cut = sum(labels[u] != labels[v] for u, v in g.edges)
     return Fraction(cut, g.edge_count)
 
 
@@ -384,48 +387,31 @@ def _check_tau(tau: int, d: int) -> None:
         raise ValueError(f"tau must be in [0, {d + 1}], got {tau}")
 
 
-def _nbr_matrix(g: RegularGraph) -> np.ndarray:
-    return np.array(g.adjacency, dtype=np.intp)
-
-
 def _padded_matrix(g: RegularGraph, d: int) -> Tuple[np.ndarray, int]:
-    """Neighbour matrix with virtual-bit indices filling rows up to d."""
+    """Neighbour rows padded to length d with virtual-bit indices; their count."""
     if g.max_degree > d:
-        raise ValueError(
-            f"a node has degree {g.max_degree}, above the simulated degree {d}"
-        )
-    n = g.node_count
-    rows = []
-    next_virtual = n
-    for v in range(n):
-        missing = d - len(g.adjacency[v])
-        rows.append(
-            list(g.adjacency[v]) + list(range(next_virtual, next_virtual + missing))
-        )
-        next_virtual += missing
-    return np.array(rows, dtype=np.intp), next_virtual - n
+        raise ValueError(f"a node has degree {g.max_degree}, above the simulated degree {d}")
+    rows, end = [], g.node_count
+    for nbrs in g.adjacency:
+        rows.append([*nbrs, *range(end, end + d - len(nbrs))])
+        end += d - len(nbrs)
+    return np.array(rows, dtype=np.intp), end - g.node_count
+
+
+def _one_trial(g: RegularGraph, alg: AlgorithmSpec, seed: int) -> NodeLabels:
+    """Trial 0 of the seed's stream, run as a block of one."""
+    sizes, rule = _block_rule(g, alg)
+    return labels_from_bits(rule(*philox_bits(seed, 0, 1, sizes))[:, 0])
 
 
 def run_threshold(g: RegularGraph, tau: int, seed: int) -> NodeLabels:
-    """One trial of the threshold rule; trial index 0 of the seed's stream.
-
-    Draws one bit per node in node-index order, so the base cut matches the
-    other runners at the same (seed, trial).
-    """
-    _require_strict(g, "run_threshold")
-    _check_tau(tau, g.degree)
-    rng = make_trial_rng(seed, 0)
-    c1 = draw_bits(rng, g.node_count)
-    return labels_from_bits(apply_threshold_rule(_nbr_matrix(g), c1, tau))
+    """One trial of the threshold rule; trial index 0 of the seed's stream."""
+    return _one_trial(g, ThresholdCut(tau), seed)
 
 
 def run_shearer(g: RegularGraph, seed: int) -> NodeLabels:
     """One trial of the three-cut rule: c1, c2, c3 drawn in that order."""
-    _require_strict(g, "run_shearer")
-    rng = make_trial_rng(seed, 0)
-    n = g.node_count
-    c1, c2, c3 = draw_bits(rng, n), draw_bits(rng, n), draw_bits(rng, n)
-    return labels_from_bits(apply_shearer_rule(_nbr_matrix(g), g.degree, c1, c2, c3))
+    return _one_trial(g, ShearerCut(), seed)
 
 
 def run_virtual_neighbour(g: RegularGraph, d: int, tau: int, seed: int) -> NodeLabels:
@@ -435,12 +421,7 @@ def run_virtual_neighbour(g: RegularGraph, d: int, tau: int, seed: int) -> NodeL
     bits and counts agreement over real and virtual neighbours together.
     Own bits come first (node order), then the virtual bits (node order).
     """
-    _check_tau(tau, d)
-    padded, virtual_total = _padded_matrix(g, d)
-    rng = make_trial_rng(seed, 0)
-    c1 = draw_bits(rng, g.node_count)
-    virtual = draw_bits(rng, virtual_total)
-    return labels_from_bits(apply_virtual_rule(padded, c1, virtual, tau))
+    return _one_trial(g, VirtualNeighbourCut(d, tau), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +457,10 @@ class TrialStats:
     """Monte Carlo estimate of the expected cut weight.
 
     mean is total cut edges over trials * edge_count; stderr is the sample
-    standard deviation of per-trial weights (ddof=1) over sqrt(trials), and
-    0.0 for a single trial. When the graph has triangle-flagged edges the
-    per-class means are reported separately: the per-edge guarantee applies
-    only to clean edges, so flagged edges get an empirical number and no
-    assertion.
+    standard deviation of per-trial weights (ddof=1) over sqrt(trials), 0.0
+    for one trial. On a graph with triangle-flagged edges the per-class means
+    are reported separately: the per-edge guarantee applies only to clean
+    edges, so flagged edges get an empirical number and no assertion.
     """
 
     trials: int
@@ -494,97 +474,75 @@ class TrialStats:
     flagged_edge_fraction: Optional[float] = None
 
 
-def _trial_runner(g: RegularGraph, alg: AlgorithmSpec):
-    """Per-trial closure rng -> output bit array, validated up front."""
+def _block_rule(g: RegularGraph, alg: AlgorithmSpec):
+    """Bits drawn per trial, and the rule from a block's draws to outputs."""
     n = g.node_count
     if isinstance(alg, UniformCut):
-        return lambda rng: draw_bits(rng, n)
-    if isinstance(alg, ThresholdCut):
-        _require_strict(g, "ThresholdCut")
+        return (n,), lambda c1: c1
+    if isinstance(alg, (ThresholdCut, ShearerCut)):
+        _require_strict(g, type(alg).__name__)
+        nbr, _ = _padded_matrix(g, g.degree)
+        if isinstance(alg, ShearerCut):
+            return (n, n, n), lambda *cuts: apply_shearer_rule(nbr, g.degree, *cuts)
         _check_tau(alg.tau, g.degree)
-        nbr = _nbr_matrix(g)
-        tau = alg.tau
-        return lambda rng: apply_threshold_rule(nbr, draw_bits(rng, n), tau)
-    if isinstance(alg, ShearerCut):
-        _require_strict(g, "ShearerCut")
-        nbr = _nbr_matrix(g)
-        d = g.degree
-
-        def shearer(rng: np.random.Generator) -> np.ndarray:
-            c1 = draw_bits(rng, n)
-            c2 = draw_bits(rng, n)
-            c3 = draw_bits(rng, n)
-            return apply_shearer_rule(nbr, d, c1, c2, c3)
-
-        return shearer
+        return (n,), lambda c1: apply_threshold_rule(nbr, c1, alg.tau)
     if isinstance(alg, VirtualNeighbourCut):
         _check_tau(alg.tau, alg.degree)
         padded, virtual_total = _padded_matrix(g, alg.degree)
-        tau = alg.tau
-
-        def virtual(rng: np.random.Generator) -> np.ndarray:
-            c1 = draw_bits(rng, n)
-            return apply_virtual_rule(padded, c1, draw_bits(rng, virtual_total), tau)
-
-        return virtual
+        return (n, virtual_total), lambda *bits: apply_virtual_rule(padded, *bits, alg.tau)
     raise ValueError(f"unknown algorithm spec {alg!r}")
 
 
+def _blocks(seed: int, trials: int, sizes: Sequence[int]) -> Iterator[List[np.ndarray]]:
+    """philox_bits for trials 0..trials-1, one block at a time."""
+    step = max(1, BLOCK_SLOTS // sum(sizes))
+    for t0 in range(0, trials, step):
+        yield philox_bits(seed, t0, min(step, trials - t0), sizes)
+
+
 def monte_carlo(
-    g: RegularGraph,
-    alg: AlgorithmSpec,
-    trials: int,
-    seed: int,
-    per_edge: bool = False,
+    g: RegularGraph, alg: AlgorithmSpec, trials: int, seed: int, per_edge: bool = False
 ) -> TrialStats:
     """Independent trials with sub-seeds (seed, 0), (seed, 1), ...
 
     Identical (graph, algorithm, trials, seed) give bit-identical TrialStats.
+    Trials run in blocks; memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    runner = _trial_runner(g, alg)
+    sizes, rule = _block_rule(g, alg)
     edges = g.edges
     if not edges:
         raise ValueError("graph has no edges to measure")
-    eu = np.array([u for u, _ in edges], dtype=np.intp)
-    ev = np.array([v for _, v in edges], dtype=np.intp)
-    edge_cut_counts = np.zeros(len(edges), dtype=np.int64)
-    weights = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        out = runner(make_trial_rng(seed, t))
-        cut = out[eu] != out[ev]
-        edge_cut_counts += cut
-        weights[t] = cut.sum() / len(edges)
-    total_cut = int(edge_cut_counts.sum())
-    mean = total_cut / (trials * len(edges))
-    stderr = float(np.std(weights, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    clean_mean = flagged_mean = flagged_fraction = None
+    eu, ev = np.array(edges, dtype=np.intp).T
+    m = len(edges)
+    edge_cut_counts = np.zeros(m, dtype=np.int64)
+    total_cut = total_sq = 0  # sums of c and c^2 over trials, c = edges cut
+    for draws in _blocks(seed, trials, sizes):
+        out = rule(*draws)
+        cut = np.take(out, eu, axis=0) != np.take(out, ev, axis=0)
+        edge_cut_counts += cut.sum(axis=1)
+        c = cut.sum(axis=0)
+        total_cut += int(c.sum())
+        total_sq += int(c @ c)
+    mean = total_cut / (trials * m)
+    # squared stderr of the weights c / m (ddof=1) from exact sums, rounded once
+    stderr = math.sqrt(
+        (trials * total_sq - total_cut**2) / (trials * trials * (trials - 1) * m * m or 1)
+    )
+    split: list = [None] * 3  # clean mean, flagged mean, flagged fraction
     if g.triangle_edges:
         flagged = np.array([e in g.triangle_edges for e in edges])
-        flagged_fraction = float(flagged.sum() / len(edges))
-        flagged_mean = float(edge_cut_counts[flagged].sum() / (trials * flagged.sum()))
-        if not flagged.all():
-            clean = ~flagged
-            clean_mean = float(edge_cut_counts[clean].sum() / (trials * clean.sum()))
-    return TrialStats(
-        trials=trials,
-        mean=mean,
-        stderr=stderr,
-        seed=seed,
-        edge_count=len(edges),
-        per_edge={e: int(c) for e, c in zip(edges, edge_cut_counts)} if per_edge else None,
-        clean_edge_mean=clean_mean,
-        flagged_edge_mean=flagged_mean,
-        flagged_edge_fraction=flagged_fraction,
-    )
+        for i, mask in enumerate((~flagged, flagged)):
+            if mask.any():
+                split[i] = float(edge_cut_counts[mask].sum() / (trials * mask.sum()))
+        split[2] = float(flagged.sum() / m)
+    counts = {e: int(c) for e, c in zip(edges, edge_cut_counts)} if per_edge else None
+    return TrialStats(trials, mean, stderr, seed, m, counts, *split)
 
 
 def empirical_joint_distribution(
-    g: RegularGraph,
-    edge: Tuple[int, int],
-    trials: int,
-    seed: int,
+    g: RegularGraph, edge: Tuple[int, int], trials: int, seed: int
 ) -> Dict[Tuple[Neighbourhood, Neighbourhood], int]:
     """Counts of the (view of u, view of v) cells under uniform random cuts.
 
@@ -600,35 +558,30 @@ def empirical_joint_distribution(
     u, v = edge
     if not (0 <= u < g.node_count) or v not in g.adjacency[u]:
         raise ValueError(f"edge ({u}, {v}) is not in the graph")
-    views = all_neighbourhoods(g.degree)
-    counts = {(n1, n2): 0 for n1 in views for n2 in views}
-    nbr_u = np.array(g.adjacency[u], dtype=np.intp)
-    nbr_v = np.array(g.adjacency[v], dtype=np.intp)
-    for t in range(trials):
-        c1 = draw_bits(make_trial_rng(seed, t), g.node_count)
-        view_u = Neighbourhood(LABEL_FOR_BIT[c1[u]], int((c1[nbr_u] == c1[u]).sum()))
-        view_v = Neighbourhood(LABEL_FOR_BIT[c1[v]], int((c1[nbr_v] == c1[v]).sum()))
-        counts[(view_u, view_v)] += 1
-    return counts
+    d = g.degree
+    views = all_neighbourhoods(d)  # view (side bit s, like l) sits at s * (d + 1) + l
+    k = len(views)
+    tally = np.zeros(k * k, dtype=np.int64)
+    for (c1,) in _blocks(seed, trials, (g.node_count,)):
+        cell = 0
+        for w in (u, v):
+            own = c1[w].astype(np.intp)
+            like = (c1[list(g.adjacency[w])] == own).sum(axis=0)
+            cell = cell * k + own * (d + 1) + like
+        tally += np.bincount(cell, minlength=k * k)
+    return {(n1, n2): int(c) for (n1, n2), c in zip(product(views, views), tally)}
 
 
 # ---------------------------------------------------------------------------
 # TrialStats emitters
 
 
+def _scalars(stats: TrialStats) -> dict:
+    return {f: getattr(stats, f) for f in TrialStats.__dataclass_fields__ if f != "per_edge"}
+
+
 def trial_stats_jsonable(stats: TrialStats) -> dict:
-    doc: dict = {
-        "trials": stats.trials,
-        "mean": stats.mean,
-        "stderr": stats.stderr,
-        "seed": stats.seed,
-        "edge_count": stats.edge_count,
-    }
-    if stats.clean_edge_mean is not None:
-        doc["clean_edge_mean"] = stats.clean_edge_mean
-    if stats.flagged_edge_mean is not None:
-        doc["flagged_edge_mean"] = stats.flagged_edge_mean
-        doc["flagged_edge_fraction"] = stats.flagged_edge_fraction
+    doc = {k: x for k, x in _scalars(stats).items() if x is not None}
     if stats.per_edge is not None:
         doc["per_edge"] = [
             {"u": u, "v": v, "cut_count": c, "frequency": c / stats.trials}
@@ -643,18 +596,12 @@ def write_trial_stats_csv(fh: TextIO, stats: TrialStats) -> None:
     The triangle-split columns are empty for strict graphs so the schema does
     not depend on the input.
     """
-    def opt(x: Optional[float]) -> str:
-        return "" if x is None else f"{x:.15g}"
-
-    fh.write(
-        "trials,mean,stderr,seed,edge_count,"
-        "clean_edge_mean,flagged_edge_mean,flagged_edge_fraction\n"
-    )
-    fh.write(
-        f"{stats.trials},{stats.mean:.15g},{stats.stderr:.15g},"
-        f"{stats.seed},{stats.edge_count},{opt(stats.clean_edge_mean)},"
-        f"{opt(stats.flagged_edge_mean)},{opt(stats.flagged_edge_fraction)}\n"
-    )
+    row = _scalars(stats)
+    fh.write(",".join(row) + "\n")
+    fh.write(",".join(
+        "" if x is None else f"{x:.15g}" if isinstance(x, float) else str(x)
+        for x in row.values()
+    ) + "\n")
     if stats.per_edge is not None:
         fh.write("u,v,cut_count,frequency\n")
         for (u, v), c in stats.per_edge.items():

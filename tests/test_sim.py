@@ -277,27 +277,123 @@ def test_virtual_equals_threshold_on_regular_graphs():
 
 
 def test_randomness_budget(monkeypatch):
+    # every runner draws through the block kernel; record the (bits, trials)
+    # shape of each draw it hands out
     calls = []
-    real = sim.draw_bits
+    real = sim.philox_bits
 
-    def counting(rng, count):
-        calls.append(count)
-        return real(rng, count)
+    def counting(seed, t0, trials, sizes):
+        draws = real(seed, t0, trials, sizes)
+        calls.append([a.shape for a in draws])
+        return draws
 
-    monkeypatch.setattr(sim, "draw_bits", counting)
+    monkeypatch.setattr(sim, "philox_bits", counting)
     g = petersen_graph()
     run_threshold(g, 3, seed=0)
-    assert calls == [10]  # one bit per node
+    assert calls == [[(10, 1)]]  # one bit per node
     calls.clear()
     run_shearer(g, seed=0)
-    assert calls == [10, 10, 10]  # three cuts
+    assert calls == [[(10, 1), (10, 1), (10, 1)]]  # three cuts
     calls.clear()
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
     run_virtual_neighbour(star, 3, 3, seed=0)
-    assert calls == [4, 6]  # one own bit per node, then 2 virtual bits per leaf
+    assert calls == [[(4, 1), (6, 1)]]  # one own bit per node, then 2 virtual bits per leaf
     calls.clear()
     monte_carlo(g, UniformCut(), trials=3, seed=0)
-    assert calls == [10, 10, 10]  # one bit per node per trial
+    assert calls == [[(10, 3)]]  # one bit per node per trial
+
+
+# ---------------------------------------------------------------------------
+# Block kernel against numpy's Philox
+
+KERNEL_SEEDS = (0, 42, 0xC0FFEE, 2**63 + 0x3039, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+@pytest.mark.parametrize("sizes", [(n,) for n in (1, 3, 4, 5, 10, 31, 200, 257)] + [
+    (10, 10, 10), (4, 6), (5, 0, 7), (1, 257, 3, 31)
+])
+def test_block_kernel_matches_chained_draws(seed, sizes):
+    t0, trials = 5, 4
+    block = sim.philox_bits(seed, t0, trials, sizes)
+    assert [a.shape for a in block] == [(n, trials) for n in sizes]
+    for i in range(trials):
+        rng = make_trial_rng(seed, t0 + i)
+        for a, n in zip(block, sizes):
+            assert np.array_equal(a[:, i], draw_bits(rng, n))
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_blocks_cross_boundaries_on_the_trial_stream(seed, monkeypatch):
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", 3 * 12)  # three 11-bit trials a block
+    blocks = list(sim._blocks(seed, 10, (5, 6)))
+    assert [c1.shape[1] for c1, _ in blocks] == [3, 3, 3, 1]
+    c1 = np.concatenate([b[0] for b in blocks], axis=1)
+    c2 = np.concatenate([b[1] for b in blocks], axis=1)
+    for t in range(10):
+        rng = make_trial_rng(seed, t)
+        assert np.array_equal(c1[:, t], draw_bits(rng, 5))
+        assert np.array_equal(c2[:, t], draw_bits(rng, 6))
+
+
+def test_seeds_at_and_above_2_63_are_distinct():
+    def bits(seed):
+        return draw_bits(make_trial_rng(seed, 0), 256)
+
+    # a float64 key would round both to the same value
+    assert not np.array_equal(bits(0x8000000000003039), bits(0x8000000000003000))
+    # and would map 2^64 - 1 to 2^64, i.e. seed 0
+    assert not np.array_equal(bits(2**64 - 1), bits(0))
+    assert np.array_equal(bits(2**64 + 42), bits(42))  # seeds act mod 2^64
+
+
+@pytest.mark.parametrize("seed", (0, 42, 0xC0FFEE, 2**63 - 1))
+def test_seeds_below_2_63_keep_their_streams(seed):
+    listed = np.random.Generator(np.random.Philox(key=[seed, 3]))
+    assert np.array_equal(draw_bits(make_trial_rng(seed, 3), 99), draw_bits(listed, 99))
+
+
+BLOCK_CASES = [
+    (graph, alg)
+    for graph in ("k33", "petersen", "star", "triangle_with_pendants")
+    for alg in ("uniform", "threshold", "shearer", "virtual")
+    # the threshold and Shearer runs refuse graphs that are not strict
+    if graph in ("k33", "petersen") or alg in ("uniform", "virtual")
+]
+
+
+@pytest.mark.parametrize("graph,alg", BLOCK_CASES)
+def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
+    g = {
+        "k33": complete_bipartite(3),
+        "petersen": petersen_graph(),
+        "star": from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]),
+        "triangle_with_pendants": triangle_with_pendants(),
+    }[graph]
+    spec = {
+        "uniform": UniformCut(),
+        "threshold": ThresholdCut(3),
+        "shearer": ShearerCut(),
+        "virtual": VirtualNeighbourCut(3, 2),
+    }[alg]
+    default = monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True)
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", 1)  # one trial per block
+    single = monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True)
+    assert single == default
+
+
+def test_monte_carlo_matches_the_per_trial_stream():
+    g = petersen_graph()
+    nbr = np.array(g.adjacency)
+    counts = dict.fromkeys(g.edges, 0)
+    for t in range(300):
+        rng = make_trial_rng(9, t)
+        out = apply_shearer_rule(nbr, 3, *(draw_bits(rng, 10) for _ in range(3)))
+        for u, v in g.edges:
+            counts[(u, v)] += int(out[u] != out[v])
+    st = monte_carlo(g, ShearerCut(), trials=300, seed=9, per_edge=True)
+    assert st.per_edge == counts
+    assert st.mean == sum(counts.values()) / (300 * 15)
 
 
 def test_cut_fraction_validation():
