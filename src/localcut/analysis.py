@@ -2,13 +2,18 @@
 
 The threshold rule with parameter tau keeps a node's random side while fewer
 than tau neighbours agree with it and switches otherwise.  Its expected cut
-fraction on any d-regular triangle-free graph is an exact rational
+fraction on any d-regular triangle-free graph is an exact rational.  The
+paper's closed form, for tau > d/2,
 
-    alpha(tau, d) = 1/2 + C(d-1, tau-1) * sum_{i=d-tau+1}^{tau-1} C(d-1, i) / 4^(d-1)
+    alpha(tau, d) = 1/2 + C(d-1, tau-1) * sum_{i=d-tau+1}^{tau-1} C(d-1, i) / 4^(d-1),
 
-for tau > d/2 (the closed form's hypothesis); below that the value is obtained
-by evaluating the threshold assignment on the neighbourhood graph.  This
-module locates optimal thresholds, compares the resulting performance with
+holds at every tau in [0, d+1] once the sum is read as signed:
+
+    alpha(tau, d) = 1/2 + C(d-1, tau-1) * (P(tau-1) - P(d-tau)) / 4^(d-1),
+
+with P(k) = sum_{i<k} C(d-1, i) and C(d-1, -1) = C(d-1, d) = 0.  One row of
+Pascal's triangle and its prefix sums give every tau at once.  This module
+locates optimal thresholds, compares the resulting performance with
 the 1/2 + 9/(32 sqrt(d)) guarantee and with Shearer's 1/2 + sqrt(2)/(8 sqrt(d)),
 and certifies the binomial tail estimates behind the guarantee.
 
@@ -23,38 +28,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import IO, Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import IO, Callable, Iterable
 
-from .cutsearch import ThresholdRule, evaluate_cut, threshold_assignment
+from .cutsearch import ThresholdRule
 from .intervals import Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
-from .ngraph import build_ngraph
+from .ngraph import binomial_row
 
 HALF = Fraction(1, 2)
 
-_ngraph_cached = lru_cache(maxsize=64)(build_ngraph)
 
-
-def binomial_row(n: int) -> list[int]:
-    """Row n of Pascal's triangle via the multiplicative recurrence."""
-    if n < 0:
-        raise ValueError("row index must be >= 0")
-    row = [1]
-    for i in range(n):
-        row.append(row[-1] * (n - i) // (i + 1))
-    return row
-
-
-def _check_tau_d(tau: int, d: int) -> None:
+def _gains(d: int, taus: Iterable[int]) -> list[int]:
+    """(alpha(tau, d) - 1/2) * 4^(d-1) for each tau in [0, d+1], as integers."""
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
-    if not 0 <= tau <= d + 1:
-        raise ValueError(f"tau must be in [0, {d + 1}], got {tau}")
+    lead = [0, *binomial_row(d - 1), 0]  # lead[tau] = C(d-1, tau-1)
+    prefix = list(accumulate(lead, initial=0))  # prefix[tau] = P(tau-1)
+    return [lead[t] * (prefix[t] - prefix[d + 1 - t]) for t in taus]
 
 
 def alpha_closed_form(tau: int, d: int) -> Fraction:
-    """Closed-form expected cut fraction; requires tau > d/2."""
-    _check_tau_d(tau, d)
+    """The paper's closed form, literally; requires tau > d/2.
+
+    An independent reference for `alpha`, which reads `_gains` instead.
+    """
+    ThresholdRule(d, tau)  # validates d and tau
     if 2 * tau <= d:
         raise ValueError(f"closed form requires tau > d/2, got tau={tau}, d={d}")
     lead = math.comb(d - 1, tau - 1) if tau - 1 <= d - 1 else 0
@@ -65,14 +63,11 @@ def alpha_closed_form(tau: int, d: int) -> Fraction:
 def alpha(tau: int, d: int) -> Fraction:
     """Expected cut fraction of the threshold-tau rule at degree d, exactly.
 
-    Dispatches to the closed form when its hypothesis tau > d/2 holds and to
-    the neighbourhood-graph evaluation otherwise.
+    alpha = 1/2 + C(d-1, tau-1) * (P(tau-1) - P(d-tau)) / 4^(d-1) with
+    P(k) = sum_{i<k} C(d-1, i), for every tau in [0, d+1].
     """
-    _check_tau_d(tau, d)
-    if 2 * tau > d:
-        return alpha_closed_form(tau, d)
-    g = _ngraph_cached(d)
-    return evaluate_cut(g, threshold_assignment(ThresholdRule(d, tau)))
+    ThresholdRule(d, tau)  # validates d and tau
+    return HALF + Fraction(_gains(d, [tau])[0], 4 ** (d - 1))
 
 
 @dataclass(frozen=True)
@@ -83,53 +78,37 @@ class AlphaValue:
 
 
 def alpha_sweep(d: int) -> list[AlphaValue]:
-    """alpha(tau, d) for every tau in [0, d+1], sharing one graph build."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    g = None
-    out = []
-    for tau in range(d + 2):
-        if 2 * tau > d:
-            v = alpha_closed_form(tau, d)
-        else:
-            g = g or _ngraph_cached(d)
-            v = evaluate_cut(g, threshold_assignment(ThresholdRule(d, tau)))
-        out.append(AlphaValue(degree=d, tau=tau, value=v))
-    return out
+    """alpha(tau, d) for every tau in [0, d+1], from one prefix-sum pass."""
+    taus = range(d + 2)
+    gains = _gains(d, taus)
+    scale = 4 ** (d - 1)
+    return [AlphaValue(d, tau, HALF + Fraction(g, scale)) for tau, g in zip(taus, gains)]
 
 
-def _scaled_gain(row: Sequence[int], prefix: Sequence[int], d: int, tau: int) -> int:
-    """(alpha(tau, d) - 1/2) * 4^(d-1) as an integer, for tau > d/2."""
-    n = d - 1
-    lead = row[tau - 1] if tau - 1 <= n else 0
-    lo, hi = d - tau + 1, min(tau - 1, n)
-    tail = prefix[hi + 1] - prefix[lo] if lo <= hi else 0
-    return lead * tail
+def _optimum(d: int) -> tuple[list[int], Fraction]:
+    """Every tau maximising alpha(tau, d), ascending, and the maximum itself."""
+    taus = range(d // 2 + 1, d + 2)
+    gains = _gains(d, taus)
+    best = max(gains)
+    winners = [t for t, g in zip(taus, gains) if g == best]
+    return winners, HALF + Fraction(best, 4 ** (d - 1))
 
 
 def optimal_taus(d: int) -> list[int]:
     """Every tau maximising alpha(tau, d), ascending.
 
-    Only tau > d/2 needs scanning: with tau <= d/2 at least as many
-    neighbourhoods switch as keep, the gain term (r-p)(q-r) is non-positive,
-    and alpha never exceeds 1/2, while the scanned region always contains a
+    Only tau > d/2 needs scanning.  For tau <= d/2, tau - 1 < d - tau and P
+    is non-decreasing, so the signed sum P(tau-1) - P(d-tau) is <= 0 and
+    alpha never exceeds 1/2, while the scanned region always contains a
     value strictly above 1/2.
     """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    row = binomial_row(d - 1)
-    prefix = [0]
-    for x in row:
-        prefix.append(prefix[-1] + x)
-    gains = {tau: _scaled_gain(row, prefix, d, tau) for tau in range(d // 2 + 1, d + 2)}
-    best = max(gains.values())
-    return [tau for tau, gain in sorted(gains.items()) if gain == best]
+    return _optimum(d)[0]
 
 
 def optimal_tau(d: int) -> tuple[int, Fraction]:
     """The smallest optimal threshold and its exact cut fraction."""
-    tau = optimal_taus(d)[0]
-    return tau, alpha_closed_form(tau, d)
+    taus, value = _optimum(d)
+    return taus[0], value
 
 
 def tau_formula(d: int) -> int:
@@ -496,13 +475,11 @@ def write_tau_opt_csv(fh: IO[str], d_values: Iterable[int]) -> list[tuple[int, l
     fh.write(TAU_OPT_COLUMNS + "\n")
     ties = []
     for d in d_values:
-        taus = optimal_taus(d)
+        taus, a = _optimum(d)
         if len(taus) > 1:
             ties.append((d, taus))
-        tau = taus[0]
-        a = alpha_closed_form(tau, d)
         fh.write(
-            f"{d},{tau},{tau_formula(d)},{fmt_float(float(a))},"
+            f"{d},{taus[0]},{tau_formula(d)},{fmt_float(float(a))},"
             f"{fmt_float(threshold_bound(d).to_float())},"
             f"{fmt_float(shearer_bound(d).to_float())}\n"
         )

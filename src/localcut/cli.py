@@ -76,7 +76,7 @@ def cmd_build_ngraph(args: argparse.Namespace) -> int:
     g = ngraph.build_ngraph(args.d)
     with _output(args.out) as fh:
         if args.format == "text":
-            ngraph.write_ngraph_table(fh, g)
+            fh.write(ngraph.format_ngraph_table(g))
         elif args.format == "csv":
             fh.write("side1,i1,side2,i2,num,den\n")
             for n1 in g.nodes:

@@ -15,7 +15,6 @@ to an external solver at larger d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable
@@ -28,6 +27,7 @@ from .ngraph import (
     all_neighbourhoods,
     complement_side,
     scaled_numerator,
+    weight_profiles,
 )
 
 #: Cut assignments map every node of the neighbourhood graph to 'a' or 'b'.
@@ -86,26 +86,14 @@ def evaluate_cut(g: WeightedNgraph, cut: CutAssignment) -> Fraction:
     return Fraction(total, scale)
 
 
-def _weight_profiles(d: int) -> tuple[list[int], list[int]]:
-    """Integer weight factors: cross-side B(i) = C(d-1, i), same-side A(i) = C(d-1, i-1).
-
-    The pair weight scaled by 4^d is B(i1) * B(i2) across sides and
-    A(i1) * A(i2) within a side, which is what makes the exhaustive scan below
-    decomposable by side.
-    """
-    B = [math.comb(d - 1, i) if i <= d - 1 else 0 for i in range(d + 1)]
-    A = [math.comb(d - 1, i - 1) if 1 <= i <= d else 0 for i in range(d + 1)]
-    return B, A
-
-
 def _side_sums(masks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-mask partial sums of the two weight profiles, split by label bit.
 
     Bit i of a mask is the label of node (side, i): 0 for 'a', 1 for 'b'.
     Returns (sum of B over label-a bits, sum of B over label-b bits,
-    product of the label-split A sums).
+    product of the label-split A sums), for B and A of `weight_profiles`.
     """
-    B, A = _weight_profiles(d)
+    B, A = weight_profiles(d)
     b1 = np.zeros(masks.shape, dtype=np.int64)
     a1 = np.zeros(masks.shape, dtype=np.int64)
     for i in range(d + 1):
@@ -285,9 +273,3 @@ def exhaustive_max_weight(doc: WcnfDocument) -> tuple[int, CutAssignment]:
         n: "a" if (mask >> i) & 1 else "b" for i, n in enumerate(doc.var_nodes)
     }
     return best, labels
-
-
-def total_integer_weight(g: WeightedNgraph) -> int:
-    """Sum of all scaled directed edge weights; equals 4^d by normalisation."""
-    scale = 4**g.degree
-    return sum(scaled_numerator(w, scale) for w in g.weights.values())

@@ -19,10 +19,9 @@ denominators divide 4^d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 SIDES = ("a", "b")
 
@@ -62,11 +61,24 @@ def _check_neighbourhood(d: int, n: Neighbourhood) -> None:
         )
 
 
-def _binom(n: int, k: int) -> int:
-    # C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n.
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+def binomial_row(n: int) -> list[int]:
+    """Row n of Pascal's triangle via the multiplicative recurrence."""
+    if n < 0:
+        raise ValueError("row index must be >= 0")
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
+
+
+def weight_profiles(d: int) -> tuple[list[int], list[int]]:
+    """Integer weight factors B(i) = C(d-1, i) and A(i) = C(d-1, i-1), i = 0..d.
+
+    A pair's weight scaled by 4^d is B(i1) * B(i2) across sides and
+    A(i1) * A(i2) within a side (see `edge_weight`).
+    """
+    row = binomial_row(d - 1)
+    return row + [0], [0] + row
 
 
 def edge_weight(d: int, n1: Neighbourhood, n2: Neighbourhood) -> Fraction:
@@ -80,11 +92,9 @@ def edge_weight(d: int, n1: Neighbourhood, n2: Neighbourhood) -> Fraction:
     _check_degree(d)
     _check_neighbourhood(d, n1)
     _check_neighbourhood(d, n2)
-    if n1.side != n2.side:
-        num = _binom(d - 1, n1.like_count) * _binom(d - 1, n2.like_count)
-    else:
-        num = _binom(d - 1, n1.like_count - 1) * _binom(d - 1, n2.like_count - 1)
-    return Fraction(num, 4**d)
+    cross, same = weight_profiles(d)
+    p = same if n1.side == n2.side else cross
+    return Fraction(p[n1.like_count] * p[n2.like_count], 4**d)
 
 
 @dataclass(frozen=True)
@@ -125,17 +135,12 @@ def build_ngraph(d: int) -> WeightedNgraph:
     """Construct the full (2d+2)-node weighted neighbourhood graph for degree d."""
     nodes = all_neighbourhoods(d)
     scale = 4**d
-    row = [math.comb(d - 1, i) for i in range(d)]  # C(d-1, 0..d-1)
-
-    def profile(n: Neighbourhood, same_side: bool) -> int:
-        i = n.like_count - 1 if same_side else n.like_count
-        return row[i] if 0 <= i < d else 0
-
+    cross, same = weight_profiles(d)
     weights = {}
     for n1 in nodes:
         for n2 in nodes:
-            same = n1.side == n2.side
-            weights[(n1, n2)] = Fraction(profile(n1, same) * profile(n2, same), scale)
+            p = same if n1.side == n2.side else cross
+            weights[(n1, n2)] = Fraction(p[n1.like_count] * p[n2.like_count], scale)
     return WeightedNgraph(degree=d, weights=weights)
 
 
@@ -155,12 +160,8 @@ def format_ngraph_table(g: WeightedNgraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_ngraph_table(fh: IO[str], g: WeightedNgraph) -> None:
-    fh.write(format_ngraph_table(g))
-
-
 def parse_ngraph_table(text: str) -> WeightedNgraph:
-    """Inverse of `format_ngraph_table`; validates completeness of the table."""
+    """Inverse of `format_ngraph_table`; validates every node and the line count."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("d="):
         raise ValueError("missing 'd=<d>' header line")
@@ -170,6 +171,8 @@ def parse_ngraph_table(text: str) -> WeightedNgraph:
     for ln in lines[1:]:
         s1, i1, s2, i2, num, den = ln.split()
         pair = (Neighbourhood(s1, int(i1)), Neighbourhood(s2, int(i2)))
+        for n in pair:
+            _check_neighbourhood(d, n)
         weights[pair] = Fraction(int(num), int(den))
     expected = (2 * d + 2) ** 2
     if len(weights) != expected:

@@ -25,7 +25,6 @@ from localcut.cutsearch import (
     export_wcnf,
     exhaustive_max_weight,
     threshold_assignment,
-    total_integer_weight,
 )
 from localcut.ngraph import build_ngraph
 from localcut.sim import (
@@ -94,7 +93,7 @@ def test_criterion_4_route_equivalence():
             by_graph = evaluate_cut(g, threshold_assignment(ThresholdRule(d, tau)))
             assert closed == by_graph, f"d={d}, tau={tau}"
     for d in range(2, 9):
-        for tau in range((d + 1) // 2 + 1, d + 2):
+        for tau in range(d + 2):
             assert alpha(tau, d) == threshold_cut_probability(d, tau)
     _report(4, time.perf_counter() - t0, 30.0,
             "closed form == graph evaluation (d <= 32) == bit-pattern "
@@ -197,7 +196,7 @@ def test_criterion_9_wcnf_round_trip():
         best_weight, _ = exhaustive_max_weight(doc)
         _, w_max = brute_force_max_cut(g)
         scale = 4**d
-        assert total_integer_weight(g) == scale
+        assert g.total_weight() == 1
         assert best_weight == scale + w_max * scale, f"d={d}"
     _report(9, time.perf_counter() - t0, 30.0,
             "exported WCNF optimum equals 4^d * (1 + w_max) for d = 2..8")

@@ -76,13 +76,15 @@ def test_alpha_validation():
         alpha_closed_form(1, 3)  # tau <= d/2 is outside the closed form
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", [*range(2, 11), 60])
 def test_alpha_routes_agree(d):
-    """Dispatching alpha equals the neighbourhood-graph evaluation at every tau."""
+    """alpha and alpha_sweep equal the neighbourhood-graph evaluation at every tau."""
     g = build_ngraph(d)
+    sweep = alpha_sweep(d)
     for tau in range(d + 2):
         by_graph = evaluate_cut(g, threshold_assignment(ThresholdRule(d, tau)))
         assert alpha(tau, d) == by_graph
+        assert sweep[tau].value == by_graph
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -91,7 +93,7 @@ def test_alpha_matches_bit_pattern_oracle(d):
         assert alpha(tau, d) == threshold_cut_probability(d, tau)
 
 
-@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("d", range(2, 301))
 def test_alpha_range_invariants(d):
     values = alpha_sweep(d)
     assert [av.tau for av in values] == list(range(d + 2))
@@ -99,6 +101,8 @@ def test_alpha_range_invariants(d):
         assert Fraction(1, 4) <= av.value <= 1
         if 2 * av.tau > d:
             assert av.value >= Fraction(1, 2)
+        else:
+            assert av.value <= Fraction(1, 2)
 
 
 def test_alpha_lower_extreme():
@@ -111,7 +115,7 @@ def test_optimal_tau_matches_frozen_table():
     assert got == OPTIMAL_TAU_TABLE
 
 
-@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("d", range(2, 201))
 def test_optimal_tau_against_full_range_sweep(d):
     """The restricted scan agrees with maximising over all tau in [0, d+1]."""
     sweep = alpha_sweep(d)

@@ -103,6 +103,14 @@ def test_table_line_format():
     assert lines[1] == "a 0 a 0 0 1"
 
 
+@pytest.mark.parametrize("line", ["a 9 b 1 1 16", "c 0 b 1 1 16"])
+def test_table_parse_rejects_nodes_outside_the_graph(line):
+    lines = format_ngraph_table(build_ngraph(2)).splitlines()
+    lines[-1] = line  # the line count stays right
+    with pytest.raises(ValueError):
+        parse_ngraph_table("\n".join(lines))
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_ngraph(1)
