@@ -322,6 +322,7 @@ def _decide(
 ) -> EstimateCheck:
     """Escalate precision until the interval clears the threshold, or give up.
 
+    Precision starts at 16 and doubles, the last step clamped to the cap.
     Never silently passes: if the cap is reached with the threshold still
     inside the interval, the check is reported as inconclusive.
     """
@@ -349,7 +350,7 @@ def _decide(
         if precision >= precision_cap:
             status = "inconclusive"
             break
-        precision *= 2
+        precision = min(2 * precision, precision_cap)
     return EstimateCheck(
         name=name,
         n=n,
@@ -385,8 +386,11 @@ def verify_appendix_estimates(
 
     Exact rational quantities get zero-width intervals; quantities involving
     pi or e^(-j^2/32) are normalised so the enclosed side carries the
-    irrational factor and the threshold stays rational.
+    irrational factor and the threshold stays rational.  Precision starts
+    at 16 and stops at `precision_cap` (>= 16).
     """
+    if precision_cap < 16:
+        raise ValueError(f"precision cap must be >= 16, got {precision_cap}")
     ns = sorted(set(ns))
     if not ns:
         raise ValueError("need at least one n")

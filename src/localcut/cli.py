@@ -60,6 +60,14 @@ def _output(path: Optional[str]):
             yield fh
 
 
+def _seed(text: str) -> int:
+    """An integer `--seed` in 0..2^64-1, the range seeds are keyed over."""
+    seed = int(text)
+    if 0 <= seed <= sim.UINT64_MASK:
+        return seed
+    raise argparse.ArgumentTypeError(f"seed {seed} is outside 0..2^64-1")
+
+
 def _resolve_seed(args: argparse.Namespace) -> int:
     if getattr(args, "entropy", False):
         seed = secrets.randbits(64)
@@ -78,14 +86,9 @@ def cmd_build_ngraph(args: argparse.Namespace) -> int:
         if args.format == "text":
             fh.write(ngraph.format_ngraph_table(g))
         elif args.format == "csv":
-            fh.write("side1,i1,side2,i2,num,den\n")
-            for n1 in g.nodes:
-                for n2 in g.nodes:
-                    w = g.weight(n1, n2)
-                    fh.write(
-                        f"{n1.side},{n1.like_count},{n2.side},{n2.like_count},"
-                        f"{w.numerator},{w.denominator}\n"
-                    )
+            # the text table's pair lines, comma-separated
+            rows = ngraph.format_ngraph_table(g).split("\n", 1)[1]
+            fh.write("side1,i1,side2,i2,num,den\n" + rows.replace(" ", ","))
         else:
             doc = {
                 "d": g.degree,
@@ -295,9 +298,9 @@ def _make_parser() -> argparse.ArgumentParser:
     def add_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--seed",
-            type=int,
+            type=_seed,
             default=DEFAULT_SEED,
-            help=f"master seed (default {DEFAULT_SEED:#x})",
+            help=f"master seed in 0..2^64-1 (default {DEFAULT_SEED:#x})",
         )
         p.add_argument(
             "--entropy",
@@ -364,7 +367,7 @@ def _make_parser() -> argparse.ArgumentParser:
         "--precision-cap",
         type=int,
         default=4096,
-        help="interval-arithmetic precision ceiling for --appendix",
+        help="interval precision ceiling for --appendix, at least 16",
     )
     add_out(p)
     p.set_defaults(func=cmd_verify)

@@ -26,7 +26,6 @@ from .ngraph import (
     WeightedNgraph,
     all_neighbourhoods,
     complement_side,
-    scaled_numerator,
     weight_profiles,
 )
 
@@ -70,7 +69,6 @@ def complement_assignment(cut: CutAssignment) -> CutAssignment:
 
 def evaluate_cut(g: WeightedNgraph, cut: CutAssignment) -> Fraction:
     """Total weight of ordered pairs with differing labels, as an exact rational."""
-    scale = 4**g.degree
     nodes = g.nodes
     for n in nodes:
         if n not in cut:
@@ -82,38 +80,33 @@ def evaluate_cut(g: WeightedNgraph, cut: CutAssignment) -> Fraction:
         l1 = cut[n1]
         for n2 in nodes:
             if l1 != cut[n2]:
-                total += scaled_numerator(g.weights[(n1, n2)], scale)
-    return Fraction(total, scale)
+                total += g.scaled[(n1, n2)]
+    return Fraction(total, 4**g.degree)
 
 
-def _side_sums(masks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mask partial sums of the two weight profiles, split by label bit.
+def _side_sums(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables x and q over all masks labelling one side's d + 1 nodes.
 
     Bit i of a mask is the label of node (side, i): 0 for 'a', 1 for 'b'.
-    Returns (sum of B over label-a bits, sum of B over label-b bits,
-    product of the label-split A sums), for B and A of `weight_profiles`.
+    x sums B over the label-b bits and q = a0 * a1 + sum(B) * x, where a0 and
+    a1 sum A over the label-a and label-b bits (B, A from `weight_profiles`).
     """
     B, A = weight_profiles(d)
-    b1 = np.zeros(masks.shape, dtype=np.int64)
-    a1 = np.zeros(masks.shape, dtype=np.int64)
-    for i in range(d + 1):
-        bit = (masks >> i) & 1
-        b1 += B[i] * bit
-        a1 += A[i] * bit
-    b0 = sum(B) - b1
-    a0 = sum(A) - a1
-    return b0, b1, a0 * a1
+    masks = np.arange(1 << (d + 1), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(d + 1)) & 1
+    x, a1 = np.array([B, A], dtype=np.int64) @ bits.T
+    return x, (sum(A) - a1) * a1 + sum(B) * x
 
 
 def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
     """Exhaustive maximum cut of the neighbourhood graph, exact up to d = 12.
 
     Scans all 2^(2d+1) assignments after fixing the label of (a,0) to 'a'
-    (complementing an assignment never changes its weight).  Each assignment
-    is evaluated exactly through per-side partial sums of the binomial weight
-    profiles; everything stays in int64, which is safe because the scaled cut
-    weight is below 4^d <= 2^24.  Ties are broken by the lexicographically
-    smallest assignment in node order (a,0), ..., (b,d).
+    (complementing an assignment never changes its weight).  Both sides read
+    the tables of `_side_sums`: labelling side a by mask ma and side b by mb
+    cuts 2 * (q[ma] + q[mb] - 2 * x[ma] * x[mb]) / 4^d.  int64 is safe: q and
+    2 * x * x' stay below 2 * 4^(d-1) <= 2^23.  Ties go to the
+    lexicographically smallest assignment in node order (a,0), ..., (b,d).
     """
     d = g.degree
     if d > BRUTE_FORCE_MAX_DEGREE:
@@ -121,47 +114,31 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
             f"exhaustive search is capped at d = {BRUTE_FORCE_MAX_DEGREE}; "
             f"use export_wcnf and an external MaxSAT solver for d = {d}"
         )
-    n_bits = d + 1
-    masks_a = np.arange(0, 1 << n_bits, 2, dtype=np.int64)  # bit 0 fixed to 'a'
-    masks_b = np.arange(0, 1 << n_bits, dtype=np.int64)
-    a_b0, a_b1, a_pp = _side_sums(masks_a, d)
-    b_b0, b_b1, b_pp = _side_sums(masks_b, d)
-
-    # Scaled cut weight of (ma, mb):
-    #   2 * (B_a-sum(label a) * B_b-sum(label b) + B_a-sum(b) * B_b-sum(a))
-    #   + 2 * A-products of each side.
+    x, q = _side_sums(d)
+    xa, qa = x[::2], q[::2]  # side a's masks with (a,0) on 'a'
+    minus_2x = -2 * x
     best = -1
     hits: list[tuple[int, int]] = []
     block = 256
-    for s in range(0, len(masks_a), block):
-        e = min(s + block, len(masks_a))
-        vals = 2 * (
-            a_b0[s:e, None] * b_b1[None, :] + a_b1[s:e, None] * b_b0[None, :]
-        )
-        vals += 2 * a_pp[s:e, None]
-        vals += 2 * b_pp[None, :]
+    grid = np.empty((block, len(x)), dtype=np.int64)
+    for s in range(0, len(xa), block):
+        e = min(s + block, len(xa))
+        vals = grid[: e - s]
+        np.multiply(xa[s:e, None], minus_2x, out=vals)
+        vals += qa[s:e, None]
+        vals += q
         m = int(vals.max())
         if m > best:
             best = m
             hits = []
         if m == best:
             ia, ib = np.nonzero(vals == best)
-            hits.extend(
-                (int(masks_a[s + i]), int(masks_b[j])) for i, j in zip(ia, ib)
-            )
+            hits.extend((2 * (s + int(i)), int(j)) for i, j in zip(ia, ib))
 
-    def lex_key(pair: tuple[int, int]) -> tuple[int, ...]:
-        ma, mb = pair
-        return tuple((ma >> i) & 1 for i in range(n_bits)) + tuple(
-            (mb >> i) & 1 for i in range(n_bits)
-        )
-
-    ma, mb = min(hits, key=lex_key)
-    labels = {}
-    for i in range(n_bits):
-        labels[Neighbourhood("a", i)] = "ab"[(ma >> i) & 1]
-        labels[Neighbourhood("b", i)] = "ab"[(mb >> i) & 1]
-    return labels, Fraction(best, 4**d)
+    # labels as bits in node order (a,0), ..., (b,d); '0' < '1' as 'a' < 'b'
+    bits = min(f"{ma:0{d + 1}b}"[::-1] + f"{mb:0{d + 1}b}"[::-1] for ma, mb in hits)
+    labels = {n: "ab"[int(c)] for n, c in zip(g.nodes, bits)}
+    return labels, Fraction(2 * best, 4**d)
 
 
 def matching_threshold(g: WeightedNgraph, cut: CutAssignment) -> int | None:
@@ -209,15 +186,14 @@ class WcnfDocument:
 
 def export_wcnf(g: WeightedNgraph) -> WcnfDocument:
     d = g.degree
-    scale = 4**d
     nodes = g.nodes
     index = {n: i + 1 for i, n in enumerate(nodes)}  # DIMACS vars are 1-based
     clauses = []
     for i, n1 in enumerate(nodes):
         for n2 in nodes[i:]:
-            w = scaled_numerator(g.weights[(n1, n2)], scale)
+            w = g.scaled[(n1, n2)]
             if n1 != n2:
-                w += scaled_numerator(g.weights[(n2, n1)], scale)
+                w += g.scaled[(n2, n1)]
             if w == 0:
                 continue
             u, v = index[n1], index[n2]

@@ -13,8 +13,8 @@ Because the edge's endpoints are adjacent and triangle-freeness makes their
 remaining neighbourhoods disjoint, these probabilities are products of
 binomial counts over 4^d, and they sum to exactly 1.
 
-Everything here is exact: weights are `fractions.Fraction` values whose
-denominators divide 4^d.
+Everything here is exact: the graph stores each weight as the integer
+weight * 4^d, and hands out `fractions.Fraction` values over 4^d.
 """
 
 from __future__ import annotations
@@ -101,13 +101,13 @@ def edge_weight(d: int, n1: Neighbourhood, n2: Neighbourhood) -> Fraction:
 class WeightedNgraph:
     """Dense weighted neighbourhood graph for one degree.
 
-    `weights` stores every ordered pair of the 2d + 2 nodes, zeros included,
-    so lookups never miss and self-loops need no special casing.  Treat
-    instances as immutable.
+    `scaled` maps every ordered pair of the 2d + 2 nodes, zeros included, to
+    its weight * 4^d, an integer; lookups never miss and self-loops need no
+    special casing.  Treat instances as immutable.
     """
 
     degree: int
-    weights: dict[tuple[Neighbourhood, Neighbourhood], Fraction] = field(repr=False)
+    scaled: dict[tuple[Neighbourhood, Neighbourhood], int] = field(repr=False)
 
     @property
     def nodes(self) -> list[Neighbourhood]:
@@ -116,32 +116,22 @@ class WeightedNgraph:
     def weight(self, n1: Neighbourhood, n2: Neighbourhood) -> Fraction:
         _check_neighbourhood(self.degree, n1)
         _check_neighbourhood(self.degree, n2)
-        return self.weights[(n1, n2)]
+        return Fraction(self.scaled[(n1, n2)], 4**self.degree)
 
     def total_weight(self) -> Fraction:
-        scale = 4**self.degree
-        total = sum(scaled_numerator(w, scale) for w in self.weights.values())
-        return Fraction(total, scale)
-
-
-def scaled_numerator(w: Fraction, scale: int) -> int:
-    """w * scale as an exact integer; requires w's denominator to divide scale."""
-    if scale % w.denominator != 0:
-        raise ValueError(f"denominator {w.denominator} does not divide {scale}")
-    return w.numerator * (scale // w.denominator)
+        return Fraction(sum(self.scaled.values()), 4**self.degree)
 
 
 def build_ngraph(d: int) -> WeightedNgraph:
     """Construct the full (2d+2)-node weighted neighbourhood graph for degree d."""
     nodes = all_neighbourhoods(d)
-    scale = 4**d
     cross, same = weight_profiles(d)
-    weights = {}
+    scaled = {}
     for n1 in nodes:
         for n2 in nodes:
             p = same if n1.side == n2.side else cross
-            weights[(n1, n2)] = Fraction(p[n1.like_count] * p[n2.like_count], scale)
-    return WeightedNgraph(degree=d, weights=weights)
+            scaled[(n1, n2)] = p[n1.like_count] * p[n2.like_count]
+    return WeightedNgraph(degree=d, scaled=scaled)
 
 
 def format_ngraph_table(g: WeightedNgraph) -> str:
@@ -152,7 +142,7 @@ def format_ngraph_table(g: WeightedNgraph) -> str:
     lines = [f"d={g.degree}"]
     for n1 in g.nodes:
         for n2 in g.nodes:
-            w = g.weights[(n1, n2)]
+            w = g.weight(n1, n2)
             lines.append(
                 f"{n1.side} {n1.like_count} {n2.side} {n2.like_count}"
                 f" {w.numerator} {w.denominator}"
@@ -161,20 +151,35 @@ def format_ngraph_table(g: WeightedNgraph) -> str:
 
 
 def parse_ngraph_table(text: str) -> WeightedNgraph:
-    """Inverse of `format_ngraph_table`; validates every node and the line count."""
+    """Inverse of `format_ngraph_table`; validates every line and the line count.
+
+    Rejects, naming the line, a wrong field count, a node outside the graph,
+    a repeated pair, and a denominator that is 0 or does not divide 4^d.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("d="):
         raise ValueError("missing 'd=<d>' header line")
     d = int(lines[0][2:])
     _check_degree(d)
-    weights = {}
+    scale = 4**d
+    scaled = {}
     for ln in lines[1:]:
-        s1, i1, s2, i2, num, den = ln.split()
-        pair = (Neighbourhood(s1, int(i1)), Neighbourhood(s2, int(i2)))
-        for n in pair:
-            _check_neighbourhood(d, n)
-        weights[pair] = Fraction(int(num), int(den))
+        try:
+            s1, i1, s2, i2, num, den = ln.split()
+            pair = (Neighbourhood(s1, int(i1)), Neighbourhood(s2, int(i2)))
+            for n in pair:
+                _check_neighbourhood(d, n)
+            if pair in scaled:
+                raise ValueError("repeats an earlier pair")
+            if int(den) == 0:
+                raise ValueError("denominator 0")
+            w = Fraction(int(num), int(den))
+            if scale % w.denominator:
+                raise ValueError(f"denominator {w.denominator} does not divide 4^{d}")
+        except ValueError as exc:
+            raise ValueError(f"line {ln!r}: {exc}") from None
+        scaled[pair] = w.numerator * (scale // w.denominator)
     expected = (2 * d + 2) ** 2
-    if len(weights) != expected:
-        raise ValueError(f"expected {expected} weight lines, got {len(weights)}")
-    return WeightedNgraph(degree=d, weights=weights)
+    if len(scaled) != expected:
+        raise ValueError(f"expected {expected} weight lines, got {len(scaled)}")
+    return WeightedNgraph(degree=d, scaled=scaled)

@@ -24,6 +24,7 @@ from localcut.cutsearch import (
     evaluate_cut,
     export_wcnf,
     exhaustive_max_weight,
+    matching_threshold,
     threshold_assignment,
 )
 from localcut.ngraph import build_ngraph
@@ -65,10 +66,11 @@ def test_criterion_2_brute_force_optimum_is_a_threshold_cut():
     t0 = time.perf_counter()
     for d in range(2, 13):
         g = build_ngraph(d)
-        _, weight = brute_force_max_cut(g)
+        labels, weight = brute_force_max_cut(g)
         tau_best, alpha_best = optimal_tau(d)
         assert weight == alpha_best, f"d={d}: {weight} != {alpha_best}"
         assert tau_best == TABLE_1[d - 2]
+        assert matching_threshold(g, labels) == TABLE_1[d - 2]
     _report(2, time.perf_counter() - t0, 120.0,
             "exhaustive max cut equals best threshold for d = 2..12, exact")
 

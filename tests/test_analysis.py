@@ -283,6 +283,23 @@ def test_decision_engine_reports_inconclusive():
     assert check.precision == 64
 
 
+def test_decision_engine_stops_at_the_cap():
+    seen = []
+
+    def never_decides(p: int) -> Interval:
+        seen.append(p)
+        return Interval(Fraction(0), Fraction(1))
+
+    check = _decide("stub", None, None, never_decides, Fraction(1, 2), ">", 100)
+    assert seen == [16, 32, 64, 100]
+    assert check.status == "inconclusive" and check.precision == 100
+
+
+def test_appendix_estimates_reject_a_cap_below_16():
+    with pytest.raises(ValueError, match="precision cap"):
+        verify_appendix_estimates([1500], precision_cap=8)
+
+
 def test_decision_engine_escalates_precision():
     # width 1/p: conclusive only once p makes the interval clear 1/2
     def shrinking(p: int) -> Interval:

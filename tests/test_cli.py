@@ -187,6 +187,11 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--appendix", "xyz")[0] == 2
 
 
+def test_verify_precision_cap_below_16_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--appendix", "1500", "--precision-cap", "8")
+    assert code == 2 and "precision cap" in err
+
+
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     real = analysis.verify_theorem_bound
 
@@ -296,6 +301,20 @@ def test_simulate_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--family", "nosuch", "--alg", "uniform"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_a_usage_error(capsys, seed):
+    for argv in (
+        ["simulate", "--family", "kdd", "--d", "3", "--alg", "threshold"],
+        ["gen-graph", "--family", "triangle-free", "--n", "20", "--d", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", str(seed)])
+        assert exc.value.code == 2
+        assert "outside 0..2^64-1" in capsys.readouterr().err
+    assert run(capsys, "gen-graph", "--family", "kdd", "--d", "3",
+               "--seed", str(2**64 - 1))[0] == 0
 
 
 def test_simulate_budget_exhaustion_is_exit_1(capsys, monkeypatch):

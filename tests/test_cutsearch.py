@@ -154,7 +154,7 @@ def test_wcnf_clause_count_d3():
         1
         for i, n1 in enumerate(nodes)
         for n2 in nodes[i:]
-        if g.weights[(n1, n2)] != 0
+        if g.weight(n1, n2) != 0
     )
     assert len(doc.clauses) == 2 * nonzero_unordered == 42
 

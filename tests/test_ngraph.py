@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,19 +44,21 @@ def test_symmetry_and_label_flip(d):
     g = build_ngraph(d)
     for n1 in g.nodes:
         for n2 in g.nodes:
-            w = g.weights[(n1, n2)]
-            assert w == g.weights[(n2, n1)]
+            w = g.weight(n1, n2)
+            assert w == g.weight(n2, n1)
             flipped = (
                 Neighbourhood(complement_side(n1.side), n1.like_count),
                 Neighbourhood(complement_side(n2.side), n2.like_count),
             )
-            assert w == g.weights[flipped]
+            assert w == g.weight(*flipped)
 
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_denominators_divide_4_pow_d(d):
     g = build_ngraph(d)
-    assert all((4**d) % w.denominator == 0 for w in g.weights.values())
+    assert all(
+        (4**d) % g.weight(n1, n2).denominator == 0 for n1 in g.nodes for n2 in g.nodes
+    )
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -65,7 +68,7 @@ def test_weights_match_bit_pattern_enumeration(d):
     oracle = joint_view_distribution(d)
     for n1 in g.nodes:
         for n2 in g.nodes:
-            assert g.weights[(n1, n2)] == oracle.get((n1, n2), Fraction(0))
+            assert g.weight(n1, n2) == oracle.get((n1, n2), Fraction(0))
 
 
 @given(st.integers(min_value=2, max_value=12), st.data())
@@ -74,7 +77,7 @@ def test_edge_weight_matches_build(d, data):
     nodes = all_neighbourhoods(d)
     n1 = data.draw(st.sampled_from(nodes))
     n2 = data.draw(st.sampled_from(nodes))
-    assert edge_weight(d, n1, n2) == build_ngraph(d).weights[(n1, n2)]
+    assert edge_weight(d, n1, n2) == build_ngraph(d).weight(n1, n2)
 
 
 def test_node_order_and_count():
@@ -93,7 +96,7 @@ def test_table_round_trip():
     assert len(text.strip().splitlines()) == 1 + 10 * 10
     parsed = parse_ngraph_table(text)
     assert parsed.degree == 4
-    assert parsed.weights == g.weights
+    assert parsed.scaled == g.scaled
 
 
 def test_table_line_format():
@@ -103,12 +106,32 @@ def test_table_line_format():
     assert lines[1] == "a 0 a 0 0 1"
 
 
-@pytest.mark.parametrize("line", ["a 9 b 1 1 16", "c 0 b 1 1 16"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a 9 b 1 1 16",
+        "c 0 b 1 1 16",
+        "a 1 b 1 1 2",  # repeats the pair ((a,1), (b,1))
+        "b 2 b 2 1 0",
+        "b 2 b 2 1 3",
+        "b 2 b 2 1",
+        "b 2 b 2 1 16 16",
+    ],
+)
 def test_table_parse_rejects_nodes_outside_the_graph(line):
     lines = format_ngraph_table(build_ngraph(2)).splitlines()
     lines[-1] = line  # the line count stays right
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
         parse_ngraph_table("\n".join(lines))
+    # appended as a 37th line, the bad line is still the one named
+    lines[-1:] = ["b 2 b 2 1 16", line]
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_ngraph_table("\n".join(lines))
+
+
+def test_table_parse_accepts_unreduced_weights():
+    text = format_ngraph_table(build_ngraph(2)).replace("b 2 b 2 1 16", "b 2 b 2 2 32")
+    assert parse_ngraph_table(text) == build_ngraph(2)
 
 
 def test_rejects_bad_inputs():
