@@ -99,7 +99,7 @@ def _side_sums(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
-    """Exhaustive maximum cut of the neighbourhood graph, exact up to d = 12.
+    """Exhaustive maximum cut of the neighbourhood graph of `g.degree`, up to d = 12.
 
     Scans all 2^(2d+1) assignments after fixing the label of (a,0) to 'a'
     (complementing an assignment never changes its weight).  Both sides read

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -41,71 +41,80 @@ REJECTION_BUDGET = 1000
 # Graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """Simple graph with a declared degree bound d.
+    """Simple graph with a declared degree bound d, in two read-only arrays.
 
-    Strict mode (`is_strict`) means every node has degree exactly d and no
-    edge lies in a triangle; that is the regime in which the one-round
-    algorithms carry their exact per-edge guarantee. In generalised mode
-    degrees may fall below d and edges may be triangle-flagged.
+    Row u of the (n, d) array `nbr` lists u's neighbours in ascending order,
+    then -1 padding; the bool mask `triangle` flags each edge of `edges` (u < v,
+    lexicographic) whose endpoints share a neighbour. Strict mode (no padding,
+    no flag) is where the one-round rules carry their exact per-edge guarantee.
     """
 
     node_count: int
     degree: int
-    adjacency: Tuple[Tuple[int, ...], ...]
-    triangle_edges: frozenset
+    nbr: np.ndarray
+    triangle: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.nbr.setflags(write=False)
+        self.triangle.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:  # nbr's shape (n, d) carries the degree
+        return isinstance(other, RegularGraph) and np.array_equal(self.nbr, other.nbr)
 
     @property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
+    def edges(self) -> np.ndarray:
+        u, slot = np.nonzero(self.nbr > np.arange(self.node_count)[:, None])  # never padding
+        return np.stack([u, self.nbr[u, slot]], axis=1)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    @property
-    def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adjacency), default=0)
+        return int(np.count_nonzero(self.nbr >= 0)) // 2
 
     @property
     def is_regular(self) -> bool:
-        return all(len(nbrs) == self.degree for nbrs in self.adjacency)
+        return bool(np.all(self.nbr >= 0))
 
     @property
     def is_strict(self) -> bool:
-        return self.is_regular and not self.triangle_edges
+        return self.is_regular and not self.triangle.any()
 
 
-def from_edges(
-    node_count: int, degree: int, edges: Iterable[Tuple[int, int]]
-) -> RegularGraph:
-    """Build and validate a graph from an edge list.
+def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray]) -> RegularGraph:
+    """Build and validate a graph from (u, v) pairs or an (m, 2) array.
 
-    Rejects self-loops, duplicate edges, out-of-range endpoints, and nodes
-    whose degree would exceed the declared bound.
+    Rejects out-of-range endpoints, the first self-loop or repeated edge (both
+    repeat a half-edge), then nodes above the degree bound. Sorted half-edges
+    fill `nbr`; binary search for (v, w), w a neighbour of u, flags (u, v) in a triangle.
     """
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    nbrs: List[set] = [set() for _ in range(node_count)]
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-        if v in nbrs[u]:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    for u, s in enumerate(nbrs):
-        if len(s) > degree:
-            raise ValueError(f"node {u} has degree {len(s)}, above the declared bound {degree}")
-    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    # an edge lies in a triangle when its endpoints share a neighbour
-    flagged = frozenset((u, v) for u, a in enumerate(nbrs) for v in a if u < v and a & nbrs[v])
-    return RegularGraph(node_count, degree, adjacency, flagged)
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    outside = ((e < 0) | (e >= node_count)).any(axis=1)
+    if outside.any():
+        u, v = e[outside][0]
+        raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
+    half = np.stack([e, e[:, ::-1]], axis=1).reshape(-1, 2)  # edge i at rows 2i, 2i + 1
+    order = np.argsort(half[:, 0] * node_count + half[:, 1], kind="stable")
+    tail, head = half[order].T
+    keys = tail * node_count + head
+    again = order[1:][keys[1:] == keys[:-1]] // 2  # later copies of a repeated half-edge
+    if again.size:
+        u, v = e[again.min()]
+        raise ValueError(f"self-loop at node {u}" if u == v else f"duplicate edge ({u}, {v})")
+    deg = np.bincount(tail, minlength=node_count)
+    if deg.max() > degree:
+        u = (deg > degree).argmax()
+        raise ValueError(f"node {u} has degree {deg[u]}, above the declared bound {degree}")
+    nbr = np.full((node_count, degree), -1, dtype=np.intp)
+    nbr[tail, np.arange(len(tail)) - (np.cumsum(deg) - deg)[tail]] = head
+    w = nbr[tail[tail < head]]  # for each edge (u, v), u < v, in order: u's neighbours
+    probe = head[tail < head, None] * node_count + w  # the keys of (v, w)
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return RegularGraph(node_count, degree, nbr, ((keys[at] == probe) & (w >= 0)).any(axis=1))
 
 
 def complete_bipartite(d: int) -> RegularGraph:
@@ -155,26 +164,27 @@ def random_bipartite_regular(
 ) -> RegularGraph:
     """Union of d uniform random perfect matchings, resampled until simple.
 
-    Bipartite, hence triangle-free; strict mode by construction. Raises after
-    max_attempts rejections, which signals parameters too tight (for example
-    n_per_side close to d).
+    `from_edges` rejects an attempt whose matchings share an edge. Bipartite,
+    hence triangle-free; strict mode by construction. Raises after max_attempts
+    rejections, which signals parameters too tight (n_per_side close to d).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if n_per_side < d:
         raise ValueError("need n_per_side >= d for d disjoint matchings")
     rng = np.random.default_rng(seed)
+    left = np.tile(np.arange(n_per_side), d)
     for attempt in range(1, max_attempts + 1):
-        edges = set()
-        for _ in range(d):
-            perm = rng.permutation(n_per_side)
-            edges.update((i, n_per_side + int(perm[i])) for i in range(n_per_side))
-        if len(edges) == n_per_side * d:  # matchings pairwise disjoint
-            logger.info(
-                "bipartite generator accepted after %d attempt(s) (n_per_side=%d, d=%d)",
-                attempt, n_per_side, d,
-            )
-            return from_edges(2 * n_per_side, d, edges)
+        right = np.concatenate([rng.permutation(n_per_side) for _ in range(d)]) + n_per_side
+        try:
+            g = from_edges(2 * n_per_side, d, np.stack([left, right], axis=1))
+        except ValueError:  # two matchings share an edge
+            continue
+        logger.info(
+            "bipartite generator accepted after %d attempt(s) (n_per_side=%d, d=%d)",
+            attempt, n_per_side, d,
+        )
+        return g
     raise RuntimeError(
         f"rejection budget exhausted after {max_attempts} attempts "
         f"(n_per_side={n_per_side}, d={d}); parameters too tight"
@@ -186,9 +196,9 @@ def random_triangle_free(
 ) -> RegularGraph:
     """Configuration model conditioned on simple and triangle-free.
 
-    Pairs n*d stubs uniformly and rejects any sample with self-loops,
-    parallel edges, or triangles, so accepted graphs are uniform over
-    strict-mode instances reachable by the model. Needs n*d even.
+    Pairs n*d stubs uniformly and rejects any sample that `from_edges` refuses
+    (self-loops, parallel edges) or flags a triangle in, so accepted graphs
+    are uniform over strict-mode instances reachable by the model. n*d even.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -199,21 +209,16 @@ def random_triangle_free(
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for attempt in range(1, max_attempts + 1):
-        pairing = rng.permutation(stubs)
-        us, vs = pairing[0::2], pairing[1::2]
-        if np.any(us == vs):
+        try:
+            g = from_edges(n, d, rng.permutation(stubs).reshape(-1, 2))
+        except ValueError:  # a self-loop or a parallel edge
             continue
-        edges = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in zip(us, vs)}
-        if len(edges) < n * d // 2:  # parallel edges collapsed
-            continue
-        g = from_edges(n, d, edges)
-        if g.triangle_edges:
-            continue
-        logger.info(
-            "configuration model accepted after %d attempt(s) (n=%d, d=%d)",
-            attempt, n, d,
-        )
-        return g
+        if g.is_strict:
+            logger.info(
+                "configuration model accepted after %d attempt(s) (n=%d, d=%d)",
+                attempt, n, d,
+            )
+            return g
     raise RuntimeError(
         f"rejection budget exhausted after {max_attempts} attempts "
         f"(n={n}, d={d}); parameters too tight for triangle-free sampling"
@@ -223,25 +228,25 @@ def random_triangle_free(
 def write_edge_list(fh: TextIO, g: RegularGraph) -> None:
     """Plain text format: `n m d` header, then one `u v` line per edge."""
     fh.write(f"{g.node_count} {g.edge_count} {g.degree}\n")
-    fh.writelines(f"{u} {v}\n" for u, v in g.edges)
+    fh.writelines(f"{u} {v}\n" for u, v in g.edges.tolist())
 
 
 def read_edge_list(fh: TextIO) -> RegularGraph:
     lines = [line.strip() for line in fh if line.strip()]
     if not lines:
         raise ValueError("empty edge list")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"expected header 'n m d', got {lines[0]!r}")
-    n, m, d = map(int, header)
+    try:
+        n, m, d = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"expected header 'n m d', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    edges = np.empty((m, 2), dtype=np.intp)
+    for i, line in enumerate(lines[1:]):
+        try:
+            edges[i, 0], edges[i, 1] = map(int, line.split())
+        except (ValueError, OverflowError):
+            raise ValueError(f"expected 'u v', got {line!r}") from None
     return from_edges(n, d, edges)
 
 
@@ -364,7 +369,7 @@ def cut_fraction(g: RegularGraph, labels: NodeLabels) -> Fraction:
     for v in range(g.node_count):
         if labels.get(v) not in LABEL_FOR_BIT:
             raise ValueError(f"node {v} is missing a valid side label")
-    cut = sum(labels[u] != labels[v] for u, v in g.edges)
+    cut = sum(labels[u] != labels[v] for u, v in g.edges.tolist())
     return Fraction(cut, g.edge_count)
 
 
@@ -374,10 +379,10 @@ def _require_strict(g: RegularGraph, rule: str) -> None:
             f"{rule} needs an exactly {g.degree}-regular graph; "
             "wrap irregular graphs with run_virtual_neighbour"
         )
-    if g.triangle_edges:
+    if g.triangle.any():
         raise ValueError(
             f"{rule} carries its guarantee only on triangle-free graphs; "
-            f"{len(g.triangle_edges)} edge(s) lie in triangles "
+            f"{np.count_nonzero(g.triangle)} edge(s) lie in triangles "
             "(use run_virtual_neighbour to run regardless)"
         )
 
@@ -388,14 +393,15 @@ def _check_tau(tau: int, d: int) -> None:
 
 
 def _padded_matrix(g: RegularGraph, d: int) -> Tuple[np.ndarray, int]:
-    """Neighbour rows padded to length d with virtual-bit indices; their count."""
-    if g.max_degree > d:
-        raise ValueError(f"a node has degree {g.max_degree}, above the simulated degree {d}")
-    rows, end = [], g.node_count
-    for nbrs in g.adjacency:
-        rows.append([*nbrs, *range(end, end + d - len(nbrs))])
-        end += d - len(nbrs)
-    return np.array(rows, dtype=np.intp), end - g.node_count
+    """`g.nbr` at width d, padding numbered as virtual bits in node, then slot order."""
+    top = int(np.count_nonzero(g.nbr >= 0, axis=1).max())
+    if top > d:
+        raise ValueError(f"a node has degree {top}, above the simulated degree {d}")
+    padded = np.full((g.node_count, d), -1, dtype=np.intp)
+    padded[:, : min(d, g.degree)] = g.nbr[:, :d]
+    slots = padded < 0
+    padded[slots] = np.arange(g.node_count, g.node_count + np.count_nonzero(slots))
+    return padded, int(np.count_nonzero(slots))
 
 
 def _one_trial(g: RegularGraph, alg: AlgorithmSpec, seed: int) -> NodeLabels:
@@ -481,11 +487,10 @@ def _block_rule(g: RegularGraph, alg: AlgorithmSpec):
         return (n,), lambda c1: c1
     if isinstance(alg, (ThresholdCut, ShearerCut)):
         _require_strict(g, type(alg).__name__)
-        nbr, _ = _padded_matrix(g, g.degree)
         if isinstance(alg, ShearerCut):
-            return (n, n, n), lambda *cuts: apply_shearer_rule(nbr, g.degree, *cuts)
+            return (n, n, n), lambda *cuts: apply_shearer_rule(g.nbr, g.degree, *cuts)
         _check_tau(alg.tau, g.degree)
-        return (n,), lambda c1: apply_threshold_rule(nbr, c1, alg.tau)
+        return (n,), lambda c1: apply_threshold_rule(g.nbr, c1, alg.tau)
     if isinstance(alg, VirtualNeighbourCut):
         _check_tau(alg.tau, alg.degree)
         padded, virtual_total = _padded_matrix(g, alg.degree)
@@ -512,15 +517,14 @@ def monte_carlo(
         raise ValueError("trials must be >= 1")
     sizes, rule = _block_rule(g, alg)
     edges = g.edges
-    if not edges:
-        raise ValueError("graph has no edges to measure")
-    eu, ev = np.array(edges, dtype=np.intp).T
     m = len(edges)
+    if not m:
+        raise ValueError("graph has no edges to measure")
     edge_cut_counts = np.zeros(m, dtype=np.int64)
     total_cut = total_sq = 0  # sums of c and c^2 over trials, c = edges cut
     for draws in _blocks(seed, trials, sizes):
         out = rule(*draws)
-        cut = np.take(out, eu, axis=0) != np.take(out, ev, axis=0)
+        cut = np.take(out, edges[:, 0], axis=0) != np.take(out, edges[:, 1], axis=0)
         edge_cut_counts += cut.sum(axis=1)
         c = cut.sum(axis=0)
         total_cut += int(c.sum())
@@ -531,13 +535,12 @@ def monte_carlo(
         (trials * total_sq - total_cut**2) / (trials * trials * (trials - 1) * m * m or 1)
     )
     split: list = [None] * 3  # clean mean, flagged mean, flagged fraction
-    if g.triangle_edges:
-        flagged = np.array([e in g.triangle_edges for e in edges])
-        for i, mask in enumerate((~flagged, flagged)):
+    if g.triangle.any():
+        for i, mask in enumerate((~g.triangle, g.triangle)):
             if mask.any():
                 split[i] = float(edge_cut_counts[mask].sum() / (trials * mask.sum()))
-        split[2] = float(flagged.sum() / m)
-    counts = {e: int(c) for e, c in zip(edges, edge_cut_counts)} if per_edge else None
+        split[2] = float(g.triangle.sum() / m)
+    counts = dict(zip(map(tuple, edges.tolist()), edge_cut_counts.tolist())) if per_edge else None
     return TrialStats(trials, mean, stderr, seed, m, counts, *split)
 
 
@@ -556,19 +559,15 @@ def empirical_joint_distribution(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     u, v = edge
-    if not (0 <= u < g.node_count) or v not in g.adjacency[u]:
+    if not (0 <= u < g.node_count) or v not in g.nbr[u]:
         raise ValueError(f"edge ({u}, {v}) is not in the graph")
     d = g.degree
     views = all_neighbourhoods(d)  # view (side bit s, like l) sits at s * (d + 1) + l
     k = len(views)
     tally = np.zeros(k * k, dtype=np.int64)
     for (c1,) in _blocks(seed, trials, (g.node_count,)):
-        cell = 0
-        for w in (u, v):
-            own = c1[w].astype(np.intp)
-            like = (c1[list(g.adjacency[w])] == own).sum(axis=0)
-            cell = cell * k + own * (d + 1) + like
-        tally += np.bincount(cell, minlength=k * k)
+        view = c1.astype(np.intp) * (d + 1) + like_counts(g.nbr, c1)
+        tally += np.bincount(view[u] * k + view[v], minlength=k * k)
     return {(n1, n2): int(c) for (n1, n2), c in zip(product(views, views), tally)}
 
 

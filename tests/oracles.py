@@ -70,12 +70,45 @@ def threshold_cut_probability(d: int, tau: int) -> Fraction:
     return cut
 
 
+def set_graph(node_count, degree, edges):
+    """Neighbour lists and triangle edges of an edge list, built with Python sets.
+
+    An independent route to `sim.from_edges`: walks the edges in input order
+    with one set per node and raises `ValueError` at the first defect met (a
+    self-loop, an endpoint out of range, an edge seen before in either
+    orientation), then at the first node over the degree bound. Returns the
+    sorted neighbour list of every node and the triangle edges (u, v), u < v,
+    in lexicographic order; an edge lies in a triangle when its endpoints
+    share a neighbour.
+    """
+    nbrs = [set() for _ in range(node_count)]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
+        if v in nbrs[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for u, s in enumerate(nbrs):
+        if len(s) > degree:
+            raise ValueError(f"node {u} has degree {len(s)}, above the declared bound {degree}")
+    triangles = sorted((u, v) for u, a in enumerate(nbrs) for v in a if u < v and a & nbrs[v])
+    return [sorted(s) for s in nbrs], triangles
+
+
+def neighbour_lists(g):
+    """`set_graph`'s neighbour lists for the edges of a `sim.RegularGraph`."""
+    return set_graph(g.node_count, g.degree, g.edges.tolist())[0]
+
+
 def expected_cut_weight_exhaustive(adjacency, rule) -> Fraction:
     """Exact expected cut weight of a one-round rule on a whole small graph.
 
-    `adjacency` is a list of neighbour lists; `rule(bits, v)` maps the full
-    bit vector to node v's final label bit.  Averages the cut fraction over
-    all 2^n bit vectors.
+    `adjacency` is a list of neighbour lists, as `neighbour_lists` gives;
+    `rule(bits, v)` maps the full bit vector to node v's final label bit.
+    Averages the cut fraction over all 2^n bit vectors.
     """
     n = len(adjacency)
     edges = [(u, v) for u in range(n) for v in adjacency[u] if u < v]

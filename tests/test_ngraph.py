@@ -106,26 +106,37 @@ def test_table_line_format():
     assert lines[1] == "a 0 a 0 0 1"
 
 
+BAD_TABLE_LINES = [
+    "a 9 b 1 1 16",
+    "c 0 b 1 1 16",
+    "a 1 b 1 1 2",  # repeats the pair ((a,1), (b,1))
+    "b 2 b 2 1 0",
+    "b 2 b 2 1 3",
+    "b 2 b 2 1",
+    "b 2 b 2 1 16 16",
+    "b 2 b 2 -7 16",  # total 1/2
+]
+
+
 @pytest.mark.parametrize(
-    "line",
-    [
-        "a 9 b 1 1 16",
-        "c 0 b 1 1 16",
-        "a 1 b 1 1 2",  # repeats the pair ((a,1), (b,1))
-        "b 2 b 2 1 0",
-        "b 2 b 2 1 3",
-        "b 2 b 2 1",
-        "b 2 b 2 1 16 16",
-    ],
+    "line,first",
+    [(line, None) for line in BAD_TABLE_LINES]
+    # exchanges the weights 0 of ((a,0), (a,0)) and 1/16 of ((b,2), (b,2)):
+    # every weight non-negative, total still 1, the first line named
+    + [("b 2 b 2 0 1", "a 0 a 0 1 16")],
+    ids=BAD_TABLE_LINES + ["exchanged weights"],
 )
-def test_table_parse_rejects_nodes_outside_the_graph(line):
+def test_table_parse_rejects_nodes_outside_the_graph(line, first):
     lines = format_ngraph_table(build_ngraph(2)).splitlines()
     lines[-1] = line  # the line count stays right
-    with pytest.raises(ValueError, match=re.escape(repr(line))):
+    if first is not None:
+        lines[1] = first
+    named = first or line
+    with pytest.raises(ValueError, match=re.escape(repr(named))):
         parse_ngraph_table("\n".join(lines))
     # appended as a 37th line, the bad line is still the one named
     lines[-1:] = ["b 2 b 2 1 16", line]
-    with pytest.raises(ValueError, match=re.escape(repr(line))):
+    with pytest.raises(ValueError, match=re.escape(repr(named))):
         parse_ngraph_table("\n".join(lines))
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcut import sim
 from localcut.ngraph import Neighbourhood, build_ngraph
@@ -44,6 +47,8 @@ from localcut.sim import (
 )
 from oracles import (
     expected_cut_weight_exhaustive,
+    neighbour_lists,
+    set_graph,
     shearer_expected_cut,
     threshold_rule_on_graph,
     virtual_expected_edge_cuts,
@@ -63,7 +68,7 @@ def test_complete_bipartite():
     g = complete_bipartite(3)
     assert g.node_count == 6 and g.edge_count == 9
     assert g.is_strict and g.is_regular
-    assert all(v >= 3 for v in g.adjacency[0])  # bipartite split at 3
+    assert all(v >= 3 for v in g.nbr[0].tolist())  # bipartite split at 3
 
 
 def test_cycle_graph():
@@ -78,7 +83,7 @@ def test_hypercube_graph():
     g = hypercube_graph(3)
     assert g.node_count == 8 and g.edge_count == 12 and g.degree == 3
     assert g.is_strict
-    assert g.adjacency[0] == (1, 2, 4)
+    assert g.nbr[0].tolist() == [1, 2, 4]
 
 
 def test_petersen_graph():
@@ -88,7 +93,7 @@ def test_petersen_graph():
     # girth 5: no 4-cycles either, i.e. any two nodes share at most one neighbour
     for u in range(10):
         for v in range(u + 1, 10):
-            common = set(g.adjacency[u]) & set(g.adjacency[v])
+            common = set(g.nbr[u].tolist()) & set(g.nbr[v].tolist())
             assert len(common) <= 1
 
 
@@ -116,11 +121,89 @@ def test_from_edges_validation():
         from_edges(3, 1, [(0, 1), (0, 2)])
 
 
+DEFECTS = ("self-loop", "out of range", "duplicate edge", "above the declared bound")
+
+
+@st.composite
+def edge_lists(draw):
+    """A simple graph on n <= 8 nodes in random order, and at most one defect."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(v, u) if draw(st.booleans()) else (u, v)
+             for u, v in draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]]
+    top = max(sum(x in e for e in edges) for x in range(n))  # the highest degree
+    d = max(1, top) + draw(st.integers(0, 2))
+    defect = draw(st.sampled_from((None,) + DEFECTS))
+    if defect == "above the declared bound" and top < 2:
+        defect = None
+    if defect == "self-loop":
+        edges.insert(draw(st.integers(0, len(edges))), (draw(st.integers(0, n - 1)),) * 2)
+    elif defect == "out of range":
+        bad = (draw(st.integers(0, n - 1)), draw(st.sampled_from((-1, n, n + 3))))
+        edges.insert(draw(st.integers(0, len(edges))), bad[:: draw(st.sampled_from((1, -1)))])
+    elif defect == "duplicate edge" and edges:
+        u, v = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(edges.index((u, v)) + 1, len(edges))), (v, u))
+    elif defect == "above the declared bound":
+        d = draw(st.integers(1, top - 1))
+    else:
+        defect = None
+    return n, d, edges, defect
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_from_edges_matches_the_set_oracle(case):
+    n, d, edges, defect = case
+    try:
+        nbrs, triangles = set_graph(n, d, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_edges(n, d, edges)
+        assert defect is not None and defect in str(exc)
+        assert str(got.value) == str(exc)  # one defect: the same message
+        return
+    assert defect is None
+    for g in (from_edges(n, d, edges), from_edges(n, d, np.array(edges).reshape(-1, 2))):
+        assert [row[row >= 0].tolist() for row in g.nbr] == nbrs
+        assert g.nbr.shape == (n, d)
+        assert [tuple(e) for e in g.edges[g.triangle].tolist()] == triangles
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Any pairs on n <= 8 nodes, often with several defects; half may leave the range."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(-1, n) if draw(st.booleans()) else st.integers(0, n - 1)
+    return n, draw(st.integers(1, 4)), draw(st.lists(st.tuples(node, node), max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_edge_lists())
+def test_from_edges_raises_exactly_when_the_set_oracle_does(case):
+    n, d, edges = case
+    try:
+        nbrs, triangles = set_graph(n, d, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_edges(n, d, edges)
+        # from_edges checks every endpoint's range first; past that, both
+        # report the first self-loop or repeat in input order, then the
+        # first node over the bound
+        if all(0 <= x < n for e in edges for x in e):
+            assert str(got.value) == str(exc)
+        return
+    g = from_edges(n, d, edges)
+    assert [row[row >= 0].tolist() for row in g.nbr] == nbrs
+    assert [tuple(e) for e in g.edges[g.triangle].tolist()] == triangles
+
+
 def test_triangle_flags():
     g = triangle_with_pendants()
-    assert g.triangle_edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert g.edges[g.triangle].tolist() == [[0, 1], [0, 2], [1, 2]]
     assert not g.is_strict and g.is_regular is False  # pendants have degree 1
-    assert petersen_graph().triangle_edges == frozenset()
+    p = petersen_graph()
+    assert p.edges[p.triangle].tolist() == []
 
 
 def test_random_bipartite_regular():
@@ -128,14 +211,35 @@ def test_random_bipartite_regular():
     assert g.node_count == 200 and g.edge_count == 300
     assert g.is_strict
     # bipartite: left nodes only touch right nodes
-    assert all(w >= 100 for v in range(100) for w in g.adjacency[v])
+    assert all(w >= 100 for v in range(100) for w in g.nbr[v].tolist())
     assert g == random_bipartite_regular(100, 3, seed=1)  # deterministic
     assert g != random_bipartite_regular(100, 3, seed=2)  # seed-sensitive
 
 
 def test_random_bipartite_smallest_case_is_the_4cycle():
     g = random_bipartite_regular(2, 2, seed=0)
-    assert g.edges == ((0, 2), (0, 3), (1, 2), (1, 3))
+    assert g.edges.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+
+
+# SHA-256 of write_edge_list's output for seeded generator calls; the
+# benchmark's recorded means and input digests depend on these streams
+GENERATOR_STREAMS = [
+    (random_bipartite_regular, (100, 4, 0xC0FFEE),
+     "33f9f10c31374cddc59a85d37298ff48c3c3390a8b4e7aaca189fcd2c74bf666"),
+    (random_triangle_free, (2000, 3, 7),
+     "dc48e5bd22a2ee5ddb74ea1c4165312c46fa257a0062b5eb3dc38c8aee114bc7"),
+    (random_bipartite_regular, (30, 3, 4),
+     "2a7ba9889a1e65d1f0fb2d4fadfdee3b09b39272e2d1cd3a14378a4de7d2d411"),
+    (random_triangle_free, (20, 3, 7),
+     "cfc93fc9f5c60e38b71a25de27eb59e0695733fefa12ff3cd299e89476d8b920"),
+]
+
+
+@pytest.mark.parametrize("generate,args,digest", GENERATOR_STREAMS)
+def test_generator_streams_are_pinned(generate, args, digest):
+    buf = io.StringIO()
+    write_edge_list(buf, generate(*args))
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_random_bipartite_errors():
@@ -181,6 +285,9 @@ def test_edge_list_round_trip():
         read_edge_list(io.StringIO("10 15\n"))
     with pytest.raises(ValueError, match="empty"):
         read_edge_list(io.StringIO(""))
+    for body in ("0 x", "0", "0 1 2"):
+        with pytest.raises(ValueError, match=f"expected 'u v', got '{body}'"):
+            read_edge_list(io.StringIO(f"2 1 1\n{body}\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +320,7 @@ def test_runner_validation():
 
 def test_shearer_ignores_c3_for_odd_degree():
     g = petersen_graph()
-    nbr = np.array(g.adjacency)
+    nbr = g.nbr
     rng = make_trial_rng(3, 0)
     c1, c2 = draw_bits(rng, 10), draw_bits(rng, 10)
     out0 = apply_shearer_rule(nbr, 3, c1, c2, np.zeros(10, dtype=np.uint8))
@@ -223,7 +330,7 @@ def test_shearer_ignores_c3_for_odd_degree():
 
 def test_shearer_tie_break():
     g = cycle_graph(4)
-    nbr = np.array(g.adjacency)
+    nbr = g.nbr
     # node 0's neighbours are 1 and 3; give it exactly one agreeing neighbour
     c1 = np.array([0, 0, 1, 1], dtype=np.uint8)
     c2 = np.array([1, 1, 1, 1], dtype=np.uint8)
@@ -234,14 +341,14 @@ def test_shearer_tie_break():
 
 def test_one_round_locality():
     g = petersen_graph()
-    nbr = np.array(g.adjacency)
+    nbr = g.nbr
     rng = make_trial_rng(42, 0)
     c1, c2, c3 = (draw_bits(rng, 10) for _ in range(3))
     v = 0
     base_thr = apply_threshold_rule(nbr, c1, 3)[v]
     base_she = apply_shearer_rule(nbr, 3, c1, c2, c3)[v]
     for w in range(10):
-        if w == v or w in g.adjacency[v]:
+        if w == v or w in g.nbr[v].tolist():
             continue
         flipped = c1.copy()
         flipped[w] ^= 1
@@ -384,12 +491,13 @@ def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
 
 def test_monte_carlo_matches_the_per_trial_stream():
     g = petersen_graph()
-    nbr = np.array(g.adjacency)
-    counts = dict.fromkeys(g.edges, 0)
+    nbr = g.nbr
+    edges = [tuple(e) for e in g.edges.tolist()]
+    counts = dict.fromkeys(edges, 0)
     for t in range(300):
         rng = make_trial_rng(9, t)
         out = apply_shearer_rule(nbr, 3, *(draw_bits(rng, 10) for _ in range(3)))
-        for u, v in g.edges:
+        for u, v in edges:
             counts[(u, v)] += int(out[u] != out[v])
     st = monte_carlo(g, ShearerCut(), trials=300, seed=9, per_edge=True)
     assert st.per_edge == counts
@@ -422,7 +530,7 @@ def test_monte_carlo_mean_matches_per_edge_totals():
     st = monte_carlo(g, ThresholdCut(3), trials=400, seed=1, per_edge=True)
     total = sum(st.per_edge.values())
     assert st.mean == total / (st.trials * st.edge_count)
-    assert set(st.per_edge) == set(g.edges)
+    assert set(st.per_edge) == {tuple(e) for e in g.edges.tolist()}
 
 
 def test_single_trial_weights_on_the_4cycle():
@@ -435,9 +543,8 @@ def test_single_trial_weights_on_the_4cycle():
 
 def test_threshold_mean_matches_exact_enumeration():
     g = cycle_graph(4)
-    exact = expected_cut_weight_exhaustive(
-        g.adjacency, threshold_rule_on_graph(g.adjacency, 2)
-    )
+    adjacency = neighbour_lists(g)
+    exact = expected_cut_weight_exhaustive(adjacency, threshold_rule_on_graph(adjacency, 2))
     assert exact == Fraction(3, 4)
     st = monte_carlo(g, ThresholdCut(2), trials=20_000, seed=0xC0FFEE)
     assert abs(st.mean - 0.75) <= 3 * st.stderr
@@ -456,8 +563,8 @@ def test_graph_independence_of_the_threshold_mean():
 
 def test_shearer_mean_matches_exact_oracle():
     g = complete_bipartite(3)
-    assert shearer_expected_cut(g.adjacency, 3) == Fraction(5, 8)
-    assert shearer_expected_cut(petersen_graph().adjacency, 3) == Fraction(5, 8)
+    assert shearer_expected_cut(neighbour_lists(g), 3) == Fraction(5, 8)
+    assert shearer_expected_cut(neighbour_lists(petersen_graph()), 3) == Fraction(5, 8)
     st = monte_carlo(g, ShearerCut(), trials=20_000, seed=3)
     assert abs(st.mean - 0.625) <= 3 * st.stderr
 
@@ -476,7 +583,7 @@ def test_uniform_cut_baseline():
 
 def test_virtual_per_edge_frequencies_on_the_star():
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    exact = virtual_expected_edge_cuts(star.adjacency, 3, 3)
+    exact = virtual_expected_edge_cuts(neighbour_lists(star), 3, 3)
     assert set(exact.values()) == {Fraction(11, 16)}
     trials = 20_000
     st = monte_carlo(star, VirtualNeighbourCut(3, 3), trials, seed=7, per_edge=True)
@@ -497,9 +604,10 @@ def test_triangle_flagged_edges_are_reported_separately():
     # guarantee only from the clean half: overall mean >= (1 - eps) * alpha
     assert st.mean >= (1 - 0.5) * (11 / 16) - 3 * st.stderr
     # exact per-edge oracle: clean edges hit alpha exactly, flagged ones do not
-    exact = virtual_expected_edge_cuts(g.adjacency, 3, 3)
+    exact = virtual_expected_edge_cuts(neighbour_lists(g), 3, 3)
+    flagged = {tuple(e) for e in g.edges[g.triangle].tolist()}
     for e, p in exact.items():
-        assert (p == Fraction(11, 16)) == (e not in g.triangle_edges)
+        assert (p == Fraction(11, 16)) == (e not in flagged)
 
 
 def test_monte_carlo_validation():
