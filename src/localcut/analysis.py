@@ -86,12 +86,34 @@ def alpha_sweep(d: int) -> list[AlphaValue]:
 
 
 def _optimum(d: int) -> tuple[list[int], Fraction]:
-    """Every tau maximising alpha(tau, d), ascending, and the maximum itself."""
-    taus = range(d // 2 + 1, d + 2)
-    gains = _gains(d, taus)
-    best = max(gains)
-    winners = [t for t, g in zip(taus, gains) if g == best]
-    return winners, HALF + Fraction(best, 4 ** (d - 1))
+    """Every tau maximising alpha(tau, d), ascending, and the maximum itself.
+
+    Walks tau up from floor(d/2) + 1 with c = C(n, tau-1), n = d - 1, and the
+    window sum S = P(tau-1) - P(d-tau), so the gain is c * S.  One step adds
+    C(n, d-tau-1) = C(n, tau) on the left and C(n, tau-1) on the right.  S
+    never exceeds 2^n and c falls as tau grows, so once C(n, tau) * 2^n is
+    below the best gain no later tau can reach it; the test is strict, so
+    ties are kept.  `_gains` over every tau is the full-scan reference.
+    """
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
+    n = d - 1
+    tau = d // 2 + 1
+    c = math.comb(n, tau - 1)
+    window = c if d % 2 == 0 else 0
+    best, winners = c * window, [tau]
+    while tau < d:  # tau = d + 1 gains 0
+        nxt = c * (n - tau + 1) // tau  # C(n, tau)
+        if nxt << n < best:
+            break
+        window += nxt + c
+        c, tau = nxt, tau + 1
+        gain = c * window
+        if gain > best:
+            best, winners = gain, [tau]
+        elif gain == best:
+            winners.append(tau)
+    return winners, HALF + Fraction(best, 4**n)
 
 
 def optimal_taus(d: int) -> list[int]:
@@ -181,10 +203,14 @@ def shearer_bound(d: int) -> SqrtBound:
 class BoundCheck:
     degree: int
     tau: int
-    alpha: Fraction
+    gain: int  # (alpha - 1/2) * 4^(d-1): exact
     margin: int  # (alpha - 1/2)^2 * 1024 * d - 81, scaled by 16^(d-1): exact
     passed: bool
     equality: bool
+
+    @property
+    def alpha(self) -> Fraction:
+        return HALF + Fraction(self.gain, 4 ** (self.degree - 1))
 
 
 @dataclass(frozen=True)
@@ -201,7 +227,8 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
     Exact integer arithmetic throughout: with gain N = (alpha - 1/2) * 4^(d-1),
     the inequality is N^2 * 1024 * d >= 81 * 16^(d-1).  Binomials are carried
     incrementally from one degree to the next, so the full run to d = 3000
-    stays fast.
+    stays fast.  Each check keeps the integer N; its `alpha` Fraction is
+    built only when read.
     """
     if d_max < 2:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
@@ -239,7 +266,7 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
             BoundCheck(
                 degree=d,
                 tau=tau,
-                alpha=HALF + Fraction(gain, 4**n),
+                gain=gain,
                 margin=margin,
                 passed=passed,
                 equality=equality,
@@ -268,14 +295,26 @@ def tail_offset(j: int, n: int) -> int:
     return math.isqrt(j * j * n // 32)
 
 
+def _central_row(n: int, k: int) -> list[int]:
+    """[C(2n, n+i) for i = 0..k], walked out from one C(2n, n).
+
+    C(2n, n+i+1) = C(2n, n+i) * (n-i) / (n+i+1), which stays 0 past i = n.
+    """
+    row = [math.comb(2 * n, n)]
+    for i in range(k):
+        row.append(row[-1] * (n - i) // (n + i + 1))
+    return row
+
+
 def central_ratio(n: int) -> Fraction:
     """C(2n, n) / 4^n, the central binomial mass."""
     return Fraction(math.comb(2 * n, n), 4**n)
 
 
 def offset_ratio(n: int, delta: int) -> Fraction:
-    """C(2n, n + delta) / C(2n, n)."""
-    return Fraction(math.comb(2 * n, n + delta), math.comb(2 * n, n))
+    """C(2n, n + delta) / C(2n, n) = prod_{i<|delta|} (n-i) / (n+i+1)."""
+    k = abs(delta)
+    return Fraction(math.prod(range(n - k + 1, n + 1)), math.prod(range(n + 1, n + k + 1)))
 
 
 def tail_power(j: int, delta: int) -> Fraction:
@@ -287,8 +326,8 @@ def tail_power(j: int, delta: int) -> Fraction:
 
 def window_mass(n: int, lo: int, hi: int) -> Fraction:
     """sum_{i=lo}^{hi} C(2n, n+i) / 4^n, exactly."""
-    total = sum(math.comb(2 * n, n + i) for i in range(lo, hi + 1))
-    return Fraction(total, 4**n)
+    row = _central_row(n, max(abs(lo), abs(hi)))
+    return Fraction(sum(row[abs(i)] for i in range(lo, hi + 1)), 4**n)
 
 
 @dataclass(frozen=True)
@@ -388,6 +427,10 @@ def verify_appendix_estimates(
     pi or e^(-j^2/32) are normalised so the enclosed side carries the
     irrational factor and the threshold stays rational.  Precision starts
     at 16 and stops at `precision_cap` (>= 16).
+
+    Each n takes one C(2n, n), walked out to delta_4 by small-factor ratios
+    (`_central_row`); the window masses are sums of that row, and the
+    off-centre ratios are `offset_ratio`'s small-factor products.
     """
     if precision_cap < 16:
         raise ValueError(f"precision cap must be >= 16, got {precision_cap}")
@@ -406,7 +449,10 @@ def verify_appendix_estimates(
         )
 
     for n in ns:
-        r = central_ratio(n)
+        delta4 = tail_offset(4, n)
+        row = _central_row(n, delta4)  # C(2n, n + i), i = 0..delta_4
+        scale = 4**n
+        r = Fraction(row[0], scale)  # central_ratio(n)
 
         def scaled_central(p: int, n=n, r=r) -> Interval:
             root = _sqrt_interval(pi_enclosure(p).scale(n), max(32, 4 * p))
@@ -425,9 +471,10 @@ def verify_appendix_estimates(
 
             decide("offcentre_mass", n, j, rel_offcentre, Fraction("0.995"), ">")
 
-        delta4 = tail_offset(4, n)
-        full = window_mass(n, -delta4 + 1, delta4)
-        trimmed = window_mass(n, -delta4 + 1, delta4 - 1)
+        # window_mass(n, 1 - delta_4, delta_4 - 1) by symmetry, then its right column
+        inner = row[0] + 2 * sum(row[1:delta4])
+        full = Fraction(inner + row[delta4], scale)
+        trimmed = Fraction(inner, scale)
         decide(
             "window_mass_full", n, None,
             lambda p, v=full: Interval.point(v), Fraction("0.6088"), ">",
@@ -499,7 +546,9 @@ def bound_report_json(report: BoundReport) -> dict:
             {
                 "d": c.degree,
                 "tau": c.tau,
-                "alpha_float": float(c.alpha),
+                # alpha = (N + 2^(2n-1)) / 4^n, n = d - 1; int / int rounds
+                # correctly, so this equals float(c.alpha) without the gcd
+                "alpha_float": (c.gain + (1 << (2 * c.degree - 3))) / (1 << (2 * c.degree - 2)),
                 "bound_float": threshold_bound(c.degree).to_float(),
                 "passed": c.passed,
                 "equality": c.equality,

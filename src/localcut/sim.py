@@ -84,7 +84,9 @@ class RegularGraph:
 def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray]) -> RegularGraph:
     """Build and validate a graph from (u, v) pairs or an (m, 2) array.
 
-    Rejects out-of-range endpoints, the first self-loop or repeated edge (both
+    Raises `TypeError` for an endpoint that is not an integer (a float, bool,
+    string or other object), which a cast would truncate or coerce. Rejects
+    out-of-range endpoints, the first self-loop or repeated edge (both
     repeat a half-edge), then nodes above the degree bound. Sorted half-edges
     fill `nbr`; binary search for (v, w), w a neighbour of u, flags (u, v) in a triangle.
     """
@@ -92,7 +94,15 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
         raise ValueError("node_count must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    e = np.asarray(edges)
+    if e.size and e.dtype.kind not in "iu":
+        raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.dtype} values")
+    if e.size and not isinstance(edges, np.ndarray):
+        # a list that mixes bools with ints converts to an integer dtype
+        kinds = {type(x) for x in np.asarray(edges, dtype=object).flat}
+        if any(issubclass(t, (bool, np.bool_)) for t in kinds):
+            raise TypeError("edge endpoints must be integers that fit in int64, got bool values")
+    e = e.astype(np.intp, copy=False).reshape(-1, 2)
     outside = ((e < 0) | (e >= node_count)).any(axis=1)
     if outside.any():
         u, v = e[outside][0]

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used to pin down derived expected values.
 
-These deliberately avoid the library's formula paths: everything is computed
-by enumerating raw random-bit patterns, so they can arbitrate whether the
-closed forms and the neighbourhood-graph weights are right.
+These deliberately avoid the library's formula paths: the expected values are
+computed by enumerating raw random-bit patterns, so they can arbitrate whether
+the closed forms and the neighbourhood-graph weights are right, and the tail
+quantities take every binomial from its own `math.comb`, so they can
+arbitrate the walked binomials of `analysis`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -191,3 +194,19 @@ def virtual_expected_edge_cuts(adjacency, d, tau) -> dict:
             if out[u] != out[v]:
                 counts[(u, v)] += 1
     return {e: Fraction(c, 1 << total_bits) for e, c in counts.items()}
+
+
+def central_ratio(n: int) -> Fraction:
+    """C(2n, n) / 4^n, the central binomial mass."""
+    return Fraction(math.comb(2 * n, n), 4**n)
+
+
+def offset_ratio(n: int, delta: int) -> Fraction:
+    """C(2n, n + delta) / C(2n, n)."""
+    return Fraction(math.comb(2 * n, n + delta), math.comb(2 * n, n))
+
+
+def window_mass(n: int, lo: int, hi: int) -> Fraction:
+    """sum_{i=lo}^{hi} C(2n, n+i) / 4^n, one `math.comb` per term."""
+    total = sum(math.comb(2 * n, n + i) for i in range(lo, hi + 1))
+    return Fraction(total, 4**n)

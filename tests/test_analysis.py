@@ -23,6 +23,7 @@ from localcut.analysis import (
     optimal_tau,
     optimal_taus,
     shearer_bound,
+    TAIL_J,
     tail_offset,
     tail_power,
     tau_formula,
@@ -33,10 +34,12 @@ from localcut.analysis import (
     write_alpha_sweep_csv,
     write_tau_opt_csv,
     _decide,
+    _gains,
 )
 from localcut.cutsearch import ThresholdRule, evaluate_cut, threshold_assignment
 from localcut.intervals import Interval
 from localcut.ngraph import build_ngraph
+import oracles
 from oracles import threshold_cut_probability
 
 # Optimal thresholds for d = 2..32, frozen.
@@ -124,6 +127,16 @@ def test_optimal_tau_against_full_range_sweep(d):
     assert value == best
     assert tau == min(av.tau for av in sweep if av.value == best)
     assert optimal_taus(d) == sorted(av.tau for av in sweep if av.value == best)
+
+
+def test_walked_optimum_matches_the_full_scan():
+    """The early-stopping walk keeps every tie of the scan over all tau."""
+    for d in range(2, 801):
+        gains = _gains(d, range(d + 2))
+        best = max(gains)
+        winners = [t for t, g in enumerate(gains) if g == best]
+        assert optimal_taus(d) == winners, d
+        assert optimal_tau(d) == (winners[0], Fraction(1, 2) + Fraction(best, 4 ** (d - 1))), d
 
 
 def test_optimal_tau_region():
@@ -222,6 +235,14 @@ def test_verify_theorem_bound_small():
         )
 
 
+def test_bound_check_gain_and_reported_alpha():
+    report = verify_theorem_bound(3000)
+    rows = bound_report_json(report)["checks"]
+    for c, row in zip(report.checks, rows, strict=True):
+        assert c.gain == (c.alpha - Fraction(1, 2)) * 4 ** (c.degree - 1)
+        assert row["d"] == c.degree and row["alpha_float"] == float(c.alpha)
+
+
 def test_verify_theorem_bound_validation():
     with pytest.raises(ValueError):
         verify_theorem_bound(1)
@@ -247,6 +268,38 @@ def test_tail_quantities_are_exact():
     assert offset_ratio(n, 0) == 1
     assert tail_power(4, 27) == (1 - Fraction(16, 32 * 27)) ** 27
     assert window_mass(2, -1, 1) == Fraction(4 + 6 + 4, 16)
+
+
+@pytest.mark.parametrize("n", [2, 1500, 1777, 3000])
+def test_walked_tail_quantities_match_comb_oracles(n):
+    assert central_ratio(n) == oracles.central_ratio(n)
+    deltas = [tail_offset(j, n) for j in TAIL_J]
+    for delta in {0, 1, *deltas}:
+        for sign in (1, -1):
+            assert offset_ratio(n, sign * delta) == oracles.offset_ratio(n, sign * delta)
+    delta4 = deltas[-1]
+    windows = [
+        (1 - delta4, delta4),  # full
+        (1 - delta4, delta4 - 1),  # trimmed
+        (-delta4, delta4 + 3),
+        (-1, delta4),
+        (2, delta4),
+        (-min(delta4 + 2, n), -1),  # math.comb rejects n + i < 0
+        (3, 2),  # empty
+    ]
+    for lo, hi in windows:
+        assert window_mass(n, lo, hi) == oracles.window_mass(n, lo, hi), (lo, hi)
+
+
+def test_appendix_window_checks_match_comb_oracles():
+    ns = [1500, 1777, 3000]
+    report = verify_appendix_estimates(ns)
+    got = {(c.name, c.n): c for c in report.checks}
+    for n in ns:
+        delta4 = tail_offset(4, n)
+        for name, hi in (("window_mass_full", delta4), ("window_mass_trimmed", delta4 - 1)):
+            c = got[name, n]
+            assert c.lo == c.hi == oracles.window_mass(n, 1 - delta4, hi)
 
 
 def test_appendix_estimates_hold():

@@ -121,6 +121,32 @@ def test_from_edges_validation():
         from_edges(3, 1, [(0, 1), (0, 2)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1), (1, 2)],  # a cast to intp would truncate this to (0, 1)
+    [(0, 1.0)],
+    [(True, 1), (1, 2)],  # bools beside ints convert to an integer dtype
+    [(np.True_, 2)],
+    [("0", 1)],
+    [(0, None)],
+    [(object(), 1)],
+    [(2**63, 1)],  # an int beyond int64 converts to an object array
+    np.array([[0.5, 1.0]]),
+    np.array([[False, True]]),
+    np.array([[0, 1]], dtype=object),
+])
+def test_from_edges_rejects_non_integer_endpoints(edges):
+    with pytest.raises(TypeError, match="must be integers"):
+        from_edges(3, 2, edges)
+
+
+def test_from_edges_accepts_integer_lists_and_arrays():
+    want = [[0, 1], [1, 2]]
+    for edges in (want, [(np.int64(0), np.int32(1)), (1, 2)], np.array(want, dtype=np.uint8),
+                  np.array(want, dtype=np.int32)):
+        assert from_edges(3, 2, edges).edges.tolist() == want
+    assert from_edges(3, 2, []).edges.shape == (0, 2)
+
+
 DEFECTS = ("self-loop", "out of range", "duplicate edge", "above the declared bound")
 
 
