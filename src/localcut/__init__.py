@@ -50,6 +50,7 @@ from .ngraph import (
     all_neighbourhoods,
     build_ngraph,
     edge_weight,
+    format_ngraph_json,
     format_ngraph_table,
     parse_ngraph_table,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "empirical_joint_distribution",
     "evaluate_cut",
     "export_wcnf",
+    "format_ngraph_json",
     "format_ngraph_table",
     "format_wcnf",
     "from_edges",

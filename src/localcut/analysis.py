@@ -225,39 +225,51 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
     """Check alpha(tau_formula(d), d) >= 1/2 + 9/(32 sqrt(d)) for d = 2..d_max.
 
     Exact integer arithmetic throughout: with gain N = (alpha - 1/2) * 4^(d-1),
-    the inequality is N^2 * 1024 * d >= 81 * 16^(d-1).  Binomials are carried
-    incrementally from one degree to the next, so the full run to d = 3000
-    stays fast.  Each check keeps the integer N; its `alpha` Fraction is
-    built only when read.
+    the inequality is N^2 * 1024 * d >= 81 * 16^(d-1).
+
+    N = C(n, hi) * S with n = d - 1, tau = tau_formula(d), and S the window
+    sum of C(n, i) over i = lo..hi, lo = d - tau + 1, hi = tau - 1.  S and the
+    edge terms C(n, lo), C(n, hi) are carried from one degree to the next in
+    a constant number of big-integer steps:
+
+      * tau_formula rises by 0 or 1 per degree and lo + hi = d, so on row
+        n - 1 the window either drops its left term C(n-1, lo) (tau stays)
+        or gains C(n-1, hi + 1) on the right (tau rises);
+      * Pascal's rule then moves the window sum to row n,
+        S <- 2S - C(n-1, hi) + C(n-1, lo-1);
+      * with lo + hi = n + 1, C(n-1, hi-1) = C(n-1, lo-1), so both edges
+        step the same way: C(n, k) = C(n-1, k) + C(n-1, lo-1), k = lo, hi.
+
+    The term-by-term walk of each window is the reference.  Each check keeps
+    the integer N; its `alpha` Fraction is built only when read.
     """
     if d_max < 2:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     checks = []
     equalities = []
-    cur = 1  # C(n, k) at n = d - 1, k = lo(d); starts at C(1, 1) for d = 2
-    cur_k = 1
-    pow16 = 16  # 16^(d-1)
+    tau = 2  # tau_formula(2); the window at d = 2 is [1, 1] on row 1
+    lo = hi = 1
+    s = c_lo = c_hi = 1  # S, C(n, lo), C(n, hi)
+    rhs = 81 * 16  # 81 * 16^(d-1)
     for d in range(2, d_max + 1):
-        n = d - 1
-        tau = tau_formula(d)
-        lo, hi = d - tau + 1, tau - 1
         if d > 2:
-            # advance the carried binomial from row n-1 to row n at fixed k
-            cur = cur * n // (n - cur_k)
-        while cur_k < lo:
-            cur = cur * (n - cur_k) // (cur_k + 1)
-            cur_k += 1
-        while cur_k > lo:
-            cur = cur * cur_k // (n - cur_k + 1)
-            cur_k -= 1
-        # walk the summation segment [lo, hi] from C(n, lo)
-        seg_sum = cur
-        val = cur
-        for i in range(lo + 1, hi + 1):
-            val = val * (n - i + 1) // i
-            seg_sum += val
-        gain = val * seg_sum  # C(n, tau-1) * sum = (alpha - 1/2) * 4^n
-        margin = gain * gain * 1024 * d - 81 * pow16
+            m = d - 2  # the previous row
+            nxt = tau_formula(d)
+            if nxt == tau:  # lo + 1: drop the left term
+                s -= c_lo
+                c_lo = c_lo * (m - lo) // (lo + 1)
+                lo += 1
+            else:  # hi + 1: add the right term
+                c_hi = c_hi * (m - hi) // (hi + 1)
+                hi += 1
+                s += c_hi
+            tau = nxt
+            below = c_lo * lo // (m - lo + 1)  # C(m, lo-1) = C(m, hi-1); lo <= m
+            s = 2 * s - c_hi + below
+            c_lo += below
+            c_hi += below
+        gain = c_hi * s  # C(n, tau-1) * S = (alpha - 1/2) * 4^n
+        margin = (gain * gain * d << 10) - rhs
         passed = margin >= 0
         equality = margin == 0
         if equality:
@@ -272,7 +284,7 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
                 equality=equality,
             )
         )
-        pow16 *= 16
+        rhs <<= 4
     return BoundReport(
         d_max=d_max,
         checks=tuple(checks),

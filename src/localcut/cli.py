@@ -90,22 +90,7 @@ def cmd_build_ngraph(args: argparse.Namespace) -> int:
             rows = ngraph.format_ngraph_table(g).split("\n", 1)[1]
             fh.write("side1,i1,side2,i2,num,den\n" + rows.replace(" ", ","))
         else:
-            doc = {
-                "d": g.degree,
-                "nodes": [[n.side, n.like_count] for n in g.nodes],
-                "weights": [
-                    {
-                        "n1": [n1.side, n1.like_count],
-                        "n2": [n2.side, n2.like_count],
-                        "weight": _rational(g.weight(n1, n2)),
-                    }
-                    for n1 in g.nodes
-                    for n2 in g.nodes
-                ],
-                "normalisation": _rational(g.total_weight()),
-            }
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(ngraph.format_ngraph_json(g))
     return 0
 
 
@@ -186,19 +171,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "error: pass exactly one of --bound or --appendix", file=sys.stderr
         )
         return 2
-    with _output(args.out) as fh:
-        if args.bound:
-            report = analysis.verify_theorem_bound(args.dmax)
-            json.dump(analysis.bound_report_json(report), fh, indent=2)
-            fh.write("\n")
-            return 0 if report.all_pass else 1
+    # the report is computed before --out is opened, so a usage error leaves
+    # an existing file as it was
+    if args.bound:
+        report = analysis.verify_theorem_bound(args.dmax)
+        doc, ok = analysis.bound_report_json(report), report.all_pass
+    else:
         ns = [int(x) for x in args.appendix.split(",") if x]
         report = analysis.verify_appendix_estimates(
             ns, precision_cap=args.precision_cap
         )
-        json.dump(analysis.appendix_report_json(report), fh, indent=2)
+        doc = analysis.appendix_report_json(report)
+        ok = report.all_hold and report.conclusive
+    with _output(args.out) as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
-        return 0 if report.all_hold and report.conclusive else 1
+    return 0 if ok else 1
 
 
 def _build_graph(args: argparse.Namespace, seed: int) -> sim.RegularGraph:

@@ -19,6 +19,8 @@ weight * 4^d, and hands out `fractions.Fraction` values over 4^d.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -134,20 +136,76 @@ def build_ngraph(d: int) -> WeightedNgraph:
     return WeightedNgraph(degree=d, scaled=scaled)
 
 
+def _reduced_rows(g: WeightedNgraph):
+    """(n1, [(n2, num, den) for every n2]) per node n1, num/den in lowest terms.
+
+    Reads `g.scaled` and divides out gcd(scaled, 4^d), which is what
+    `Fraction(scaled, 4^d)` would reduce to, without building one.
+    """
+    scale = 4**g.degree
+    nodes = g.nodes
+    for n1 in nodes:
+        row = []
+        for n2 in nodes:
+            s = g.scaled[(n1, n2)]
+            k = math.gcd(s, scale)
+            row.append((n2, s // k, scale // k))
+        yield n1, row
+
+
 def format_ngraph_table(g: WeightedNgraph) -> str:
     """Text serialisation: header `d=<d>`, then one line per ordered pair.
 
-    Line format: `side1 i1 side2 i2 numerator denominator`.
+    Line format: `side1 i1 side2 i2 numerator denominator`, the weight in
+    lowest terms.
     """
     lines = [f"d={g.degree}"]
-    for n1 in g.nodes:
-        for n2 in g.nodes:
-            w = g.weight(n1, n2)
-            lines.append(
-                f"{n1.side} {n1.like_count} {n2.side} {n2.like_count}"
-                f" {w.numerator} {w.denominator}"
-            )
+    for n1, row in _reduced_rows(g):
+        head = f"{n1.side} {n1.like_count} "
+        lines.extend(f"{head}{n2.side} {n2.like_count} {num} {den}" for n2, num, den in row)
     return "\n".join(lines) + "\n"
+
+
+def format_ngraph_json(g: WeightedNgraph) -> str:
+    """JSON document of the graph: degree, nodes, every weight, normalisation.
+
+    The text is byte for byte what `json.dump(doc, fh, indent=2)` followed by
+    a newline writes for the document
+
+        {"d": d, "nodes": [[side, i], ...],
+         "weights": [{"n1": [side, i], "n2": [side, i], "weight": "num/den"}, ...],
+         "normalisation": "num/den"}
+
+    with weights in lowest terms and pairs in node order.  The indented text
+    is assembled directly: each node's `[side, i]` block is formatted once per
+    nesting depth, and one chunk is joined per n1 row, instead of running the
+    pure-Python encoder over 4(d+1)^2 dicts.
+    """
+
+    def block(n: Neighbourhood, pad: str) -> str:
+        return f"[\n{pad}  {json.dumps(n.side)},\n{pad}  {n.like_count}\n{pad}]"
+
+    nodes = g.nodes
+    in_pair = {n: block(n, "      ") for n in nodes}
+    chunks = []
+    for n1, row in _reduced_rows(g):
+        head = f'    {{\n      "n1": {in_pair[n1]},\n      "n2": '
+        chunks.append(
+            ",\n".join(
+                f'{head}{in_pair[n2]},\n      "weight": "{num}/{den}"\n    }}'
+                for n2, num, den in row
+            )
+        )
+    total = g.total_weight()
+    return "".join(
+        [
+            f'{{\n  "d": {g.degree},\n  "nodes": [\n    ',
+            ",\n    ".join(block(n, "    ") for n in nodes),
+            '\n  ],\n  "weights": [\n',
+            ",\n".join(chunks),
+            f'\n  ],\n  "normalisation": "{total.numerator}/{total.denominator}"\n}}\n',
+        ]
+    )
 
 
 def parse_ngraph_table(text: str) -> WeightedNgraph:

@@ -4,7 +4,9 @@ These deliberately avoid the library's formula paths: the expected values are
 computed by enumerating raw random-bit patterns, so they can arbitrate whether
 the closed forms and the neighbourhood-graph weights are right, and the tail
 quantities take every binomial from its own `math.comb`, so they can
-arbitrate the walked binomials of `analysis`.
+arbitrate the walked binomials of `analysis`.  The serialisation oracles
+build each weight as a `Fraction` and run the standard `json` encoder, and
+the bound oracle walks every degree's summation window term by term.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from localcut.ngraph import Neighbourhood
+from localcut.analysis import tau_formula
+from localcut.ngraph import Neighbourhood, edge_weight
 
 _SIDE = ("a", "b")
 
@@ -210,3 +213,77 @@ def window_mass(n: int, lo: int, hi: int) -> Fraction:
     """sum_{i=lo}^{hi} C(2n, n+i) / 4^n, one `math.comb` per term."""
     total = sum(math.comb(2 * n, n + i) for i in range(lo, hi + 1))
     return Fraction(total, 4**n)
+
+
+def _rational(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def ngraph_json_doc(g) -> dict:
+    """The `build-ngraph --format json` document, one `Fraction` per pair.
+
+    `json.dumps(doc, indent=2) + "\\n"` is the byte-identity reference for
+    `ngraph.format_ngraph_json`.
+    """
+    return {
+        "d": g.degree,
+        "nodes": [[n.side, n.like_count] for n in g.nodes],
+        "weights": [
+            {
+                "n1": [n1.side, n1.like_count],
+                "n2": [n2.side, n2.like_count],
+                "weight": _rational(g.weight(n1, n2)),
+            }
+            for n1 in g.nodes
+            for n2 in g.nodes
+        ],
+        "normalisation": _rational(g.total_weight()),
+    }
+
+
+def ngraph_table_lines(d: int) -> list[str]:
+    """The pair lines of `format_ngraph_table`, each weight from `edge_weight`."""
+    nodes = [Neighbourhood(k, i) for k in _SIDE for i in range(d + 1)]
+    lines = []
+    for n1 in nodes:
+        for n2 in nodes:
+            w = edge_weight(d, n1, n2)
+            lines.append(
+                f"{n1.side} {n1.like_count} {n2.side} {n2.like_count}"
+                f" {w.numerator} {w.denominator}"
+            )
+    return lines
+
+
+def bound_walk(d_max: int) -> list[tuple[int, int, int, int, bool, bool]]:
+    """(d, tau, gain, margin, passed, equality) for d = 2..d_max, term by term.
+
+    At every degree the summation window [d - tau + 1, tau - 1] of row
+    n = d - 1 is walked from C(n, lo): gain = C(n, tau-1) * sum, and
+    margin = gain^2 * 1024 * d - 81 * 16^(d-1).  C(n, lo) is carried across
+    degrees by small-factor steps.
+    """
+    rows = []
+    cur = 1  # C(n, k) at n = d - 1, k = lo(d); starts at C(1, 1) for d = 2
+    cur_k = 1
+    for d in range(2, d_max + 1):
+        n = d - 1
+        tau = tau_formula(d)
+        lo, hi = d - tau + 1, tau - 1
+        if d > 2:
+            # advance the carried binomial from row n-1 to row n at fixed k
+            cur = cur * n // (n - cur_k)
+        while cur_k < lo:
+            cur = cur * (n - cur_k) // (cur_k + 1)
+            cur_k += 1
+        while cur_k > lo:
+            cur = cur * cur_k // (n - cur_k + 1)
+            cur_k -= 1
+        seg_sum = val = cur
+        for i in range(lo + 1, hi + 1):
+            val = val * (n - i + 1) // i
+            seg_sum += val
+        gain = val * seg_sum
+        margin = gain * gain * 1024 * d - 81 * 16 ** (d - 1)
+        rows.append((d, tau, gain, margin, margin >= 0, margin == 0))
+    return rows

@@ -243,6 +243,21 @@ def test_bound_check_gain_and_reported_alpha():
         assert row["d"] == c.degree and row["alpha_float"] == float(c.alpha)
 
 
+def _fields(report):
+    return [(c.degree, c.tau, c.gain, c.margin, c.passed, c.equality) for c in report.checks]
+
+
+def test_pascal_carried_bound_matches_the_term_walk():
+    walk = oracles.bound_walk(3000)
+    report = verify_theorem_bound(3000)
+    assert _fields(report) == walk
+    assert report.all_pass and report.equality_degrees == (4,)
+    # each short run starts the carry afresh and meets the window's edge cases
+    # (hi = n at d = 2 and 3, the first left drop at d = 4)
+    for d_max in range(2, 13):
+        assert _fields(verify_theorem_bound(d_max)) == walk[: d_max - 1]
+
+
 def test_verify_theorem_bound_validation():
     with pytest.raises(ValueError):
         verify_theorem_bound(1)

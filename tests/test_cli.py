@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from localcut import analysis, cli
+from localcut import analysis, cli, ngraph
 from localcut.cli import main
+import oracles
 
 OPTIMAL_TAU_TABLE = [
     2, 3, 3, 4, 5, 5, 6, 6, 7, 7, 8, 9, 9, 10, 10, 11,
@@ -21,6 +22,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """Equal text, or a failure naming the first differing line.
+
+    A plain `==` on megabyte outputs would have pytest diff them in full.
+    """
+    if got != expected:
+        a, b = got.split("\n"), expected.split("\n")
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(
+            f"line {i + 1} differs: {a[i] if i < len(a) else None!r} != "
+            f"{b[i] if i < len(b) else None!r} ({len(a)} vs {len(b)} lines)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +69,29 @@ def test_build_ngraph_csv(capsys):
     assert lines[0] == "side1,i1,side2,i2,num,den"
     assert len(lines) == 1 + 36
     assert all(line.count(",") == 5 for line in lines)
+
+
+@pytest.mark.parametrize("d", [*range(2, 31), 60])
+def test_build_ngraph_json_is_the_encoders_text(capsys, tmp_path, d):
+    expected = json.dumps(oracles.ngraph_json_doc(ngraph.build_ngraph(d)), indent=2) + "\n"
+    code, out, _ = run(capsys, "build-ngraph", "--d", str(d), "--format", "json")
+    assert code == 0
+    assert_same_text(out, expected)
+    path = tmp_path / "g.json"
+    assert run(capsys, "build-ngraph", "--d", str(d), "--format", "json", "--out", str(path))[0] == 0
+    assert_same_text(path.read_bytes().decode(), expected)
+
+
+@pytest.mark.parametrize("d", range(2, 31))
+def test_build_ngraph_text_and_csv_match_the_fraction_oracle(capsys, d):
+    lines = oracles.ngraph_table_lines(d)
+    code, out, _ = run(capsys, "build-ngraph", "--d", str(d))
+    assert code == 0
+    assert_same_text(out, "\n".join([f"d={d}", *lines]) + "\n")
+    code, out, _ = run(capsys, "build-ngraph", "--d", str(d), "--format", "csv")
+    csv_lines = [line.replace(" ", ",") for line in lines]
+    assert code == 0
+    assert_same_text(out, "\n".join(["side1,i1,side2,i2,num,den", *csv_lines]) + "\n")
 
 
 def test_build_ngraph_usage_error(capsys):
@@ -190,6 +228,30 @@ def test_verify_usage_errors(capsys):
 def test_verify_precision_cap_below_16_is_a_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--appendix", "1500", "--precision-cap", "8")
     assert code == 2 and "precision cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--appendix", "10"),
+        ("--appendix", "1500", "--precision-cap", "8"),
+        ("--bound", "--dmax", "1"),
+    ],
+)
+def test_verify_usage_error_leaves_an_existing_out_file(capsys, tmp_path, argv):
+    path = tmp_path / "out.txt"
+    path.write_text("kept\n")
+    assert run(capsys, "verify", *argv, "--out", str(path))[0] == 2
+    assert path.read_text() == "kept\n"
+
+
+def test_verify_out_file_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old contents that are longer than nothing\n")
+    code, out, _ = run(capsys, "verify", "--bound", "--dmax", "40")
+    assert code == 0
+    assert run(capsys, "verify", "--bound", "--dmax", "40", "--out", str(path))[0] == 0
+    assert path.read_text() == out
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
