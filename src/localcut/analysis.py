@@ -570,6 +570,34 @@ def bound_report_json(report: BoundReport) -> dict:
     }
 
 
+def format_bound_report_json(doc: dict) -> str:
+    """`json.dumps(doc, indent=2)` plus a newline, for a `bound_report_json` doc.
+
+    The indented text is assembled directly, one f-string per check, instead
+    of running the pure-Python encoder over every field.  Floats print as
+    `float.__repr__`, as the encoder prints finite floats.
+    """
+
+    def block(items: list[str], pad: str) -> str:
+        if not items:
+            return "[]"
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+    js = ("false", "true")
+    checks = [
+        f'{{\n      "d": {c["d"]},\n      "tau": {c["tau"]},\n'
+        f'      "alpha_float": {c["alpha_float"]!r},\n'
+        f'      "bound_float": {c["bound_float"]!r},\n'
+        f'      "passed": {js[c["passed"]]},\n      "equality": {js[c["equality"]]}\n    }}'
+        for c in doc["checks"]
+    ]
+    return (
+        f'{{\n  "d_max": {doc["d_max"]},\n  "all_pass": {js[doc["all_pass"]]},\n'
+        f'  "equality_degrees": {block([str(d) for d in doc["equality_degrees"]], "  ")},\n'
+        f'  "checks": {block(checks, "  ")}\n}}\n'
+    )
+
+
 def appendix_report_json(report: AppendixEstimateReport) -> dict:
     return {
         "all_hold": report.all_hold,

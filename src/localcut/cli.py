@@ -175,17 +175,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # an existing file as it was
     if args.bound:
         report = analysis.verify_theorem_bound(args.dmax)
-        doc, ok = analysis.bound_report_json(report), report.all_pass
+        text = analysis.format_bound_report_json(analysis.bound_report_json(report))
+        ok = report.all_pass
     else:
         ns = [int(x) for x in args.appendix.split(",") if x]
         report = analysis.verify_appendix_estimates(
             ns, precision_cap=args.precision_cap
         )
-        doc = analysis.appendix_report_json(report)
+        text = json.dumps(analysis.appendix_report_json(report), indent=2) + "\n"
         ok = report.all_hold and report.conclusive
     with _output(args.out) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
     return 0 if ok else 1
 
 

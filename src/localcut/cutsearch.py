@@ -8,9 +8,9 @@ triangle-free graph, so maximising it over assignments finds the best
 one-round algorithm for that degree.
 
 Three routes to the optimum live here: threshold assignments (the family that
-turns out to be optimal), exhaustive search over all assignments (exact up to
-d = 12), and an exported weighted MaxSAT instance for handing the same search
-to an external solver at larger d.
+turns out to be optimal), an exact search over all assignments by an upper
+convex hull (up to d = 16), and an exported weighted MaxSAT instance for
+handing the same search to an external solver at larger d.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .ngraph import (
 #: Cut assignments map every node of the neighbourhood graph to 'a' or 'b'.
 CutAssignment = Dict[Neighbourhood, str]
 
-BRUTE_FORCE_MAX_DEGREE = 12
+BRUTE_FORCE_MAX_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -84,29 +84,25 @@ def evaluate_cut(g: WeightedNgraph, cut: CutAssignment) -> Fraction:
     return Fraction(total, 4**g.degree)
 
 
-def _side_sums(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tables x and q over all masks labelling one side's d + 1 nodes.
-
-    Bit i of a mask is the label of node (side, i): 0 for 'a', 1 for 'b'.
-    x sums B over the label-b bits and q = a0 * a1 + sum(B) * x, where a0 and
-    a1 sum A over the label-a and label-b bits (B, A from `weight_profiles`).
-    """
-    B, A = weight_profiles(d)
-    masks = np.arange(1 << (d + 1), dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(d + 1)) & 1
-    x, a1 = np.array([B, A], dtype=np.int64) @ bits.T
-    return x, (sum(A) - a1) * a1 + sum(B) * x
-
-
 def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
-    """Exhaustive maximum cut of the neighbourhood graph of `g.degree`, up to d = 12.
+    """Exact maximum cut of the neighbourhood graph of `g.degree`, up to d = 16.
 
-    Scans all 2^(2d+1) assignments after fixing the label of (a,0) to 'a'
-    (complementing an assignment never changes its weight).  Both sides read
-    the tables of `_side_sums`: labelling side a by mask ma and side b by mb
-    cuts 2 * (q[ma] + q[mb] - 2 * x[ma] * x[mb]) / 4^d.  int64 is safe: q and
-    2 * x * x' stay below 2 * 4^(d-1) <= 2^23.  Ties go to the
-    lexicographically smallest assignment in node order (a,0), ..., (b,d).
+    Fixes the label of (a,0) to 'a' (complementing an assignment never changes
+    its weight) and labels each side by a mask over its d + 1 nodes, bit i for
+    node (side, i): 0 for 'a', 1 for 'b'.  With x[m] the sum of B over the
+    label-b bits, a1[m] the sum of A over them and a0[m] the sum of A over the
+    rest (B, A from `weight_profiles`), q[m] = a0[m] * a1[m] + sum(B) * x[m]
+    and side masks ma, mb cut 2 * (q[ma] + q[mb] - 2 * x[ma] * x[mb]) / 4^d.
+
+    For a fixed ma the best mb maximises q - 2 * x[ma] * x over the points
+    (x[mb], q[mb]), so it lies on their upper convex hull, built by Andrew's
+    monotone chain with integer cross products.  The hull is the certificate:
+    every point lies on or under it, so its value at each side-a x bounds
+    every side-b choice, and the search reads the hull (26 vertices at
+    d = 16) once per distinct side-a x.  Python ints throughout, no floats.
+    Ties go to the lexicographically smallest assignment in node order
+    (a,0), ..., (b,d), found by scanning only the side-a masks that reach the
+    optimum and, for each, the side-b masks that reach it.
     """
     d = g.degree
     if d > BRUTE_FORCE_MAX_DEGREE:
@@ -114,27 +110,40 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
             f"exhaustive search is capped at d = {BRUTE_FORCE_MAX_DEGREE}; "
             f"use export_wcnf and an external MaxSAT solver for d = {d}"
         )
-    x, q = _side_sums(d)
-    xa, qa = x[::2], q[::2]  # side a's masks with (a,0) on 'a'
-    minus_2x = -2 * x
-    best = -1
-    hits: list[tuple[int, int]] = []
-    block = 256
-    grid = np.empty((block, len(x)), dtype=np.int64)
-    for s in range(0, len(xa), block):
-        e = min(s + block, len(xa))
-        vals = grid[: e - s]
-        np.multiply(xa[s:e, None], minus_2x, out=vals)
-        vals += qa[s:e, None]
-        vals += q
-        m = int(vals.max())
-        if m > best:
-            best = m
-            hits = []
-        if m == best:
-            ia, ib = np.nonzero(vals == best)
-            hits.extend((2 * (s + int(i)), int(j)) for i, j in zip(ia, ib))
+    B, A = weight_profiles(d)
+    x, a1 = [0], [0]
+    for b, a in zip(B, A):  # doubling: masks with bit i set follow those without
+        x += [v + b for v in x]
+        a1 += [v + a for v in a1]
+    sa, sb = sum(A), sum(B)
+    q = [(sa - a) * a + sb * v for a, v in zip(a1, x)]
 
+    top: dict[int, int] = {}  # the largest q at each x, over all masks
+    for v, w in zip(x, q):
+        top[v] = max(top.get(v, w), w)
+    hull: list[tuple[int, int]] = []  # upper hull, x ascending
+    for px, py in sorted(top.items()):
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (x1 - x0) * (py - y0) < (y1 - y0) * (px - x0):
+                break  # a right turn: hull[-1] stays
+            hull.pop()
+        hull.append((px, py))
+
+    side_a: dict[int, int] = {}  # the largest q at each x, over side a's masks
+    for v, w in zip(x[::2], q[::2]):  # even masks: (a,0) on 'a'
+        side_a[v] = max(side_a.get(v, w), w)
+    # side-a x -> max over mb of q[mb] - 2 * x * x[mb]
+    reach = {v: max(hy - 2 * v * hx for hx, hy in hull) for v in side_a}
+    best = max(w + reach[v] for v, w in side_a.items())
+
+    hits = [
+        (ma, mb)
+        for ma in range(0, len(x), 2)
+        if q[ma] + reach[x[ma]] == best
+        for mb in range(len(x))
+        if q[mb] - 2 * x[ma] * x[mb] == reach[x[ma]]
+    ]
     # labels as bits in node order (a,0), ..., (b,d); '0' < '1' as 'a' < 'b'
     bits = min(f"{ma:0{d + 1}b}"[::-1] + f"{mb:0{d + 1}b}"[::-1] for ma, mb in hits)
     labels = {n: "ab"[int(c)] for n, c in zip(g.nodes, bits)}

@@ -108,11 +108,15 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
         u, v = e[outside][0]
         raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
     half = np.stack([e, e[:, ::-1]], axis=1).reshape(-1, 2)  # edge i at rows 2i, 2i + 1
-    order = np.argsort(half[:, 0] * node_count + half[:, 1], kind="stable")
+    order = np.argsort(half[:, 0] * node_count + half[:, 1])
     tail, head = half[order].T
     keys = tail * node_count + head
-    again = order[1:][keys[1:] == keys[:-1]] // 2  # later copies of a repeated half-edge
-    if again.size:
+    if (keys[1:] == keys[:-1]).any():
+        # the sort may shuffle the copies of a half-edge: in each run of equal
+        # keys the copy earliest in input order is the original, the rest repeat it
+        starts = np.r_[True, keys[1:] != keys[:-1]]
+        first = np.minimum.reduceat(order, np.flatnonzero(starts))
+        again = order[order != first[np.cumsum(starts) - 1]] // 2
         u, v = e[again.min()]
         raise ValueError(f"self-loop at node {u}" if u == v else f"duplicate edge ({u}, {v})")
     deg = np.bincount(tail, minlength=node_count)

@@ -6,7 +6,8 @@ the closed forms and the neighbourhood-graph weights are right, and the tail
 quantities take every binomial from its own `math.comb`, so they can
 arbitrate the walked binomials of `analysis`.  The serialisation oracles
 build each weight as a `Fraction` and run the standard `json` encoder, and
-the bound oracle walks every degree's summation window term by term.
+the bound oracle walks every degree's summation window term by term.  The
+max-cut oracle scans every pair of side masks on an int64 grid.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from localcut.analysis import tau_formula
-from localcut.ngraph import Neighbourhood, edge_weight
+from localcut.ngraph import Neighbourhood, build_ngraph, edge_weight, weight_profiles
 
 _SIDE = ("a", "b")
 
@@ -287,3 +290,55 @@ def bound_walk(d_max: int) -> list[tuple[int, int, int, int, bool, bool]]:
         margin = gain * gain * 1024 * d - 81 * 16 ** (d - 1)
         rows.append((d, tau, gain, margin, margin >= 0, margin == 0))
     return rows
+
+
+def _side_sums(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables x and q over all masks labelling one side's d + 1 nodes.
+
+    Bit i of a mask is the label of node (side, i): 0 for 'a', 1 for 'b'.
+    x sums B over the label-b bits and q = a0 * a1 + sum(B) * x, where a0 and
+    a1 sum A over the label-a and label-b bits (B, A from `weight_profiles`).
+    """
+    B, A = weight_profiles(d)
+    masks = np.arange(1 << (d + 1), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(d + 1)) & 1
+    x, a1 = np.array([B, A], dtype=np.int64) @ bits.T
+    return x, (sum(A) - a1) * a1 + sum(B) * x
+
+
+def grid_max_cut(d: int):
+    """Maximum cut of `build_ngraph(d)` by a scan of every pair of side masks.
+
+    Scans all 2^(2d+1) assignments after fixing the label of (a,0) to 'a'
+    (complementing an assignment never changes its weight).  Both sides read
+    the tables of `_side_sums`: labelling side a by mask ma and side b by mb
+    cuts 2 * (q[ma] + q[mb] - 2 * x[ma] * x[mb]) / 4^d.  int64 is safe: q and
+    2 * x * x' stay below 2 * 4^(d-1) <= 2^23.  Ties go to the
+    lexicographically smallest assignment in node order (a,0), ..., (b,d).
+    Returns (labels, weight) as `cutsearch.brute_force_max_cut` does.
+    """
+    x, q = _side_sums(d)
+    xa, qa = x[::2], q[::2]  # side a's masks with (a,0) on 'a'
+    minus_2x = -2 * x
+    best = -1
+    hits: list[tuple[int, int]] = []
+    block = 256
+    grid = np.empty((block, len(x)), dtype=np.int64)
+    for s in range(0, len(xa), block):
+        e = min(s + block, len(xa))
+        vals = grid[: e - s]
+        np.multiply(xa[s:e, None], minus_2x, out=vals)
+        vals += qa[s:e, None]
+        vals += q
+        m = int(vals.max())
+        if m > best:
+            best = m
+            hits = []
+        if m == best:
+            ia, ib = np.nonzero(vals == best)
+            hits.extend((2 * (s + int(i)), int(j)) for i, j in zip(ia, ib))
+
+    # labels as bits in node order (a,0), ..., (b,d); '0' < '1' as 'a' < 'b'
+    bits = min(f"{ma:0{d + 1}b}"[::-1] + f"{mb:0{d + 1}b}"[::-1] for ma, mb in hits)
+    labels = {n: "ab"[int(c)] for n, c in zip(build_ngraph(d).nodes, bits)}
+    return labels, Fraction(2 * best, 4**d)

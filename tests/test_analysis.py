@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from localcut.analysis import (
     binomial_row,
     bound_report_json,
     central_ratio,
+    format_bound_report_json,
     offset_ratio,
     optimal_tau,
     optimal_taus,
@@ -241,6 +243,18 @@ def test_bound_check_gain_and_reported_alpha():
     for c, row in zip(report.checks, rows, strict=True):
         assert c.gain == (c.alpha - Fraction(1, 2)) * 4 ** (c.degree - 1)
         assert row["d"] == c.degree and row["alpha_float"] == float(c.alpha)
+
+
+@pytest.mark.parametrize("d_max", [*range(2, 41), 3000])
+def test_bound_report_writer_matches_the_encoder(d_max):
+    doc = bound_report_json(verify_theorem_bound(d_max))
+    assert format_bound_report_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_bound_report_writer_prints_failures():
+    doc = bound_report_json(verify_theorem_bound(3))
+    doc["all_pass"] = doc["checks"][1]["passed"] = False
+    assert format_bound_report_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def _fields(report):

@@ -131,7 +131,7 @@ def test_solve_json(capsys):
 
 
 def test_solve_above_cap_points_to_wcnf(capsys):
-    code, _, err = run(capsys, "solve", "--d", "13")
+    code, _, err = run(capsys, "solve", "--d", "17")
     assert code == 2
     assert "export-wcnf" in err
 

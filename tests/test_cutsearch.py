@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localcut.analysis import optimal_tau
 from localcut.cutsearch import (
     ThresholdRule,
     brute_force_max_cut,
@@ -21,7 +22,7 @@ from localcut.cutsearch import (
     threshold_assignment,
 )
 from localcut.ngraph import Neighbourhood, build_ngraph
-from oracles import threshold_cut_probability
+from oracles import grid_max_cut, threshold_cut_probability
 
 
 def test_threshold_boundary_assignments():
@@ -128,9 +129,24 @@ def test_brute_force_equals_best_threshold(d):
     assert w == best_threshold
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+def test_brute_force_matches_grid_oracle(d):
+    g = build_ngraph(d)
+    assert brute_force_max_cut(g) == grid_max_cut(d)
+
+
+@pytest.mark.parametrize("d", range(13, 17))
+def test_brute_force_optimum_is_the_best_threshold_above_12(d):
+    g = build_ngraph(d)
+    labels, w = brute_force_max_cut(g)
+    tau, value = optimal_tau(d)
+    assert w == value
+    assert matching_threshold(g, labels) == tau
+
+
 def test_brute_force_cap():
     g = build_ngraph(2)
-    capped = build_ngraph(13)
+    capped = build_ngraph(17)
     with pytest.raises(ValueError, match="export_wcnf"):
         brute_force_max_cut(capped)
     brute_force_max_cut(g)  # under the cap: fine

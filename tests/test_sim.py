@@ -121,6 +121,28 @@ def test_from_edges_validation():
         from_edges(3, 1, [(0, 1), (0, 2)])
 
 
+def test_from_edges_names_the_first_repeat_in_input_order():
+    # the repeats in input order: (6, 5), then (1, 0), (3, 3), (8, 7); in key
+    # order (1, 0) and (3, 3) come first
+    edges = [(5, 6), (0, 1), (7, 8), (6, 5), (1, 0), (3, 3), (8, 7)]
+    with pytest.raises(ValueError, match=r"^duplicate edge \(6, 5\)$"):
+        from_edges(10, 9, edges)
+    # long runs of equal half-edges in a large input, which an unstable sort
+    # may reorder
+    rng = np.random.default_rng(11)
+    n = 3000
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    copies = [cycle[i][::s] for i in (0, 7, 1500) for s in (1, -1) * 40]
+    edges = [tuple(int(x) for x in cycle[i]) for i in rng.permutation(n)]
+    for c in rng.permutation(len(copies)):
+        edges.insert(int(rng.integers(len(edges) + 1)), copies[c])
+    with pytest.raises(ValueError) as want:
+        set_graph(n, 2, edges)
+    with pytest.raises(ValueError) as got:
+        from_edges(n, 2, edges)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("edges", [
     [(0.5, 1), (1, 2)],  # a cast to intp would truncate this to (0, 1)
     [(0, 1.0)],
