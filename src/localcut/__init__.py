@@ -49,7 +49,6 @@ from .ngraph import (
     WeightedNgraph,
     all_neighbourhoods,
     build_ngraph,
-    edge_weight,
     format_ngraph_json,
     format_ngraph_table,
     parse_ngraph_table,
@@ -101,7 +100,6 @@ __all__ = [
     "build_ngraph",
     "complete_bipartite",
     "cycle_graph",
-    "edge_weight",
     "empirical_joint_distribution",
     "evaluate_cut",
     "export_wcnf",

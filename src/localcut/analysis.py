@@ -318,11 +318,6 @@ def _central_row(n: int, k: int) -> list[int]:
     return row
 
 
-def central_ratio(n: int) -> Fraction:
-    """C(2n, n) / 4^n, the central binomial mass."""
-    return Fraction(math.comb(2 * n, n), 4**n)
-
-
 def offset_ratio(n: int, delta: int) -> Fraction:
     """C(2n, n + delta) / C(2n, n) = prod_{i<|delta|} (n-i) / (n+i+1)."""
     k = abs(delta)
@@ -334,12 +329,6 @@ def tail_power(j: int, delta: int) -> Fraction:
     if delta < 1:
         raise ValueError("delta must be >= 1")
     return (1 - Fraction(j * j, 32 * delta)) ** delta
-
-
-def window_mass(n: int, lo: int, hi: int) -> Fraction:
-    """sum_{i=lo}^{hi} C(2n, n+i) / 4^n, exactly."""
-    row = _central_row(n, max(abs(lo), abs(hi)))
-    return Fraction(sum(row[abs(i)] for i in range(lo, hi + 1)), 4**n)
 
 
 @dataclass(frozen=True)
@@ -464,7 +453,7 @@ def verify_appendix_estimates(
         delta4 = tail_offset(4, n)
         row = _central_row(n, delta4)  # C(2n, n + i), i = 0..delta_4
         scale = 4**n
-        r = Fraction(row[0], scale)  # central_ratio(n)
+        r = Fraction(row[0], scale)  # C(2n, n) / 4^n, the central mass
 
         def scaled_central(p: int, n=n, r=r) -> Interval:
             root = _sqrt_interval(pi_enclosure(p).scale(n), max(32, 4 * p))
@@ -483,7 +472,7 @@ def verify_appendix_estimates(
 
             decide("offcentre_mass", n, j, rel_offcentre, Fraction("0.995"), ">")
 
-        # window_mass(n, 1 - delta_4, delta_4 - 1) by symmetry, then its right column
+        # sum of C(2n, n + i) over |i| < delta_4 by symmetry, then its right column
         inner = row[0] + 2 * sum(row[1:delta4])
         full = Fraction(inner + row[delta4], scale)
         trimmed = Fraction(inner, scale)

@@ -224,6 +224,8 @@ def _build_algorithm(args: argparse.Namespace, g: sim.RegularGraph):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.tau is not None and args.alg in ("uniform", "shearer"):
+        raise ValueError(f"--tau does not apply to --alg {args.alg}")
     seed = _resolve_seed(args)
     g = _build_graph(args, seed)
     alg = _build_algorithm(args, g)
@@ -382,7 +384,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tau",
         type=int,
-        help="threshold; defaults to the exact optimum for the graph's degree",
+        help=(
+            "threshold for --alg threshold or virtual; defaults to the exact "
+            "optimum for the graph's degree"
+        ),
     )
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     add_seed(p)

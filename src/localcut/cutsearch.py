@@ -17,17 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable
+from typing import Dict
 
-import numpy as np
-
-from .ngraph import (
-    Neighbourhood,
-    WeightedNgraph,
-    all_neighbourhoods,
-    complement_side,
-    weight_profiles,
-)
+from .ngraph import Neighbourhood, WeightedNgraph, all_neighbourhoods, complement_side
 
 #: Cut assignments map every node of the neighbourhood graph to 'a' or 'b'.
 CutAssignment = Dict[Neighbourhood, str]
@@ -80,7 +72,7 @@ def evaluate_cut(g: WeightedNgraph, cut: CutAssignment) -> Fraction:
         l1 = cut[n1]
         for n2 in nodes:
             if l1 != cut[n2]:
-                total += g.scaled[(n1, n2)]
+                total += g.scaled(n1, n2)
     return Fraction(total, 4**g.degree)
 
 
@@ -91,7 +83,7 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
     its weight) and labels each side by a mask over its d + 1 nodes, bit i for
     node (side, i): 0 for 'a', 1 for 'b'.  With x[m] the sum of B over the
     label-b bits, a1[m] the sum of A over them and a0[m] the sum of A over the
-    rest (B, A from `weight_profiles`), q[m] = a0[m] * a1[m] + sum(B) * x[m]
+    rest (B = g.cross, A = g.same), q[m] = a0[m] * a1[m] + sum(B) * x[m]
     and side masks ma, mb cut 2 * (q[ma] + q[mb] - 2 * x[ma] * x[mb]) / 4^d.
 
     For a fixed ma the best mb maximises q - 2 * x[ma] * x over the points
@@ -110,7 +102,7 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
             f"exhaustive search is capped at d = {BRUTE_FORCE_MAX_DEGREE}; "
             f"use export_wcnf and an external MaxSAT solver for d = {d}"
         )
-    B, A = weight_profiles(d)
+    B, A = g.cross, g.same
     x, a1 = [0], [0]
     for b, a in zip(B, A):  # doubling: masks with bit i set follow those without
         x += [v + b for v in x]
@@ -200,9 +192,9 @@ def export_wcnf(g: WeightedNgraph) -> WcnfDocument:
     clauses = []
     for i, n1 in enumerate(nodes):
         for n2 in nodes[i:]:
-            w = g.scaled[(n1, n2)]
+            w = g.scaled(n1, n2)
             if n1 != n2:
-                w += g.scaled[(n2, n1)]
+                w += g.scaled(n2, n1)
             if w == 0:
                 continue
             u, v = index[n1], index[n2]
@@ -225,36 +217,3 @@ def format_wcnf(doc: WcnfDocument) -> str:
     for c in doc.clauses:
         lines.append(f"{c.weight} {c.literals[0]} {c.literals[1]} 0")
     return "\n".join(lines) + "\n"
-
-
-def exhaustive_max_weight(doc: WcnfDocument) -> tuple[int, CutAssignment]:
-    """Best satisfied clause weight over all assignments, by direct enumeration.
-
-    Only meant for small documents (2d + 2 variables, d <= 8 or so).  Decodes
-    the best assignment back to labels via x true = 'a'; ties resolve to the
-    lexicographically smallest assignment in node order.
-    """
-    nv = doc.variable_count
-    if nv > 22:
-        raise ValueError(f"refusing exhaustive evaluation with {nv} variables")
-    assignments = np.arange(1 << nv, dtype=np.int64)
-    truth = [(assignments >> i) & 1 for i in range(nv)]  # truth[i] = var i+1
-    total = np.zeros(len(assignments), dtype=np.int64)
-    for c in doc.clauses:
-        sat = np.zeros(len(assignments), dtype=bool)
-        for lit in c.literals:
-            t = truth[abs(lit) - 1]
-            sat |= (t == 1) if lit > 0 else (t == 0)
-        total += c.weight * sat
-    best = int(total.max())
-
-    def lex_key(mask: int) -> tuple[int, ...]:
-        # label 'a' (x true) sorts before 'b', hence the negation
-        return tuple(1 - ((mask >> i) & 1) for i in range(nv))
-
-    winners = [int(m) for m in np.nonzero(total == best)[0]]
-    mask = min(winners, key=lex_key)
-    labels = {
-        n: "a" if (mask >> i) & 1 else "b" for i, n in enumerate(doc.var_nodes)
-    }
-    return best, labels

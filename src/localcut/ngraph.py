@@ -13,8 +13,9 @@ Because the edge's endpoints are adjacent and triangle-freeness makes their
 remaining neighbourhoods disjoint, these probabilities are products of
 binomial counts over 4^d, and they sum to exactly 1.
 
-Everything here is exact: the graph stores each weight as the integer
-weight * 4^d, and hands out `fractions.Fraction` values over 4^d.
+Everything here is exact: the graph holds the two integer binomial profiles
+whose products are the weights * 4^d, and hands out `fractions.Fraction`
+values over 4^d.
 """
 
 from __future__ import annotations
@@ -73,67 +74,49 @@ def binomial_row(n: int) -> list[int]:
     return row
 
 
-def weight_profiles(d: int) -> tuple[list[int], list[int]]:
-    """Integer weight factors B(i) = C(d-1, i) and A(i) = C(d-1, i-1), i = 0..d.
-
-    A pair's weight scaled by 4^d is B(i1) * B(i2) across sides and
-    A(i1) * A(i2) within a side (see `edge_weight`).
-    """
-    row = binomial_row(d - 1)
-    return row + [0], [0] + row
-
-
-def edge_weight(d: int, n1: Neighbourhood, n2: Neighbourhood) -> Fraction:
-    """Exact probability that a uniform random cut shows (n1, n2) across an edge.
-
-    For views on opposite sides the endpoints' like counts come from the d - 1
-    neighbours outside the edge, giving C(d-1, i1) * C(d-1, i2) / 4^d.  On the
-    same side each endpoint already likes the other, shifting both counts by
-    one: C(d-1, i1 - 1) * C(d-1, i2 - 1) / 4^d.
-    """
-    _check_degree(d)
-    _check_neighbourhood(d, n1)
-    _check_neighbourhood(d, n2)
-    cross, same = weight_profiles(d)
-    p = same if n1.side == n2.side else cross
-    return Fraction(p[n1.like_count] * p[n2.like_count], 4**d)
-
-
 @dataclass(frozen=True)
 class WeightedNgraph:
-    """Dense weighted neighbourhood graph for one degree.
+    """Dense weighted neighbourhood graph for one degree, held as two profiles.
 
-    `scaled` maps every ordered pair of the 2d + 2 nodes, zeros included, to
-    its weight * 4^d, an integer; lookups never miss and self-loops need no
-    special casing.  Treat instances as immutable.
+    For views on opposite sides the endpoints' like counts come from the d - 1
+    neighbours outside the edge, so the pair ((k, i1), (k', i2)) has weight
+    C(d-1, i1) * C(d-1, i2) / 4^d.  On the same side each endpoint already
+    likes the other, shifting both counts by one: C(d-1, i1 - 1) *
+    C(d-1, i2 - 1) / 4^d.  `cross[i] = C(d-1, i)` and `same[i] = C(d-1, i-1)`
+    for i = 0..d hold those factors, zeros included, so `scaled(n1, n2)`, the
+    weight * 4^d as an integer, is one product for every ordered pair,
+    self-loops too.  Treat instances as immutable.
     """
 
     degree: int
-    scaled: dict[tuple[Neighbourhood, Neighbourhood], int] = field(repr=False)
+    cross: tuple[int, ...] = field(repr=False)
+    same: tuple[int, ...] = field(repr=False)
 
     @property
     def nodes(self) -> list[Neighbourhood]:
         return all_neighbourhoods(self.degree)
 
+    def scaled(self, n1: Neighbourhood, n2: Neighbourhood) -> int:
+        """The weight of (n1, n2) * 4^d; the nodes are not checked."""
+        p = self.same if n1.side == n2.side else self.cross
+        return p[n1.like_count] * p[n2.like_count]
+
     def weight(self, n1: Neighbourhood, n2: Neighbourhood) -> Fraction:
         _check_neighbourhood(self.degree, n1)
         _check_neighbourhood(self.degree, n2)
-        return Fraction(self.scaled[(n1, n2)], 4**self.degree)
+        return Fraction(self.scaled(n1, n2), 4**self.degree)
 
     def total_weight(self) -> Fraction:
-        return Fraction(sum(self.scaled.values()), 4**self.degree)
+        nodes = self.nodes
+        total = sum(self.scaled(n1, n2) for n1 in nodes for n2 in nodes)
+        return Fraction(total, 4**self.degree)
 
 
 def build_ngraph(d: int) -> WeightedNgraph:
-    """Construct the full (2d+2)-node weighted neighbourhood graph for degree d."""
-    nodes = all_neighbourhoods(d)
-    cross, same = weight_profiles(d)
-    scaled = {}
-    for n1 in nodes:
-        for n2 in nodes:
-            p = same if n1.side == n2.side else cross
-            scaled[(n1, n2)] = p[n1.like_count] * p[n2.like_count]
-    return WeightedNgraph(degree=d, scaled=scaled)
+    """The (2d+2)-node weighted neighbourhood graph for degree d."""
+    _check_degree(d)
+    row = tuple(binomial_row(d - 1))
+    return WeightedNgraph(degree=d, cross=row + (0,), same=(0,) + row)
 
 
 def _reduced_rows(g: WeightedNgraph):
@@ -147,7 +130,7 @@ def _reduced_rows(g: WeightedNgraph):
     for n1 in nodes:
         row = []
         for n2 in nodes:
-            s = g.scaled[(n1, n2)]
+            s = g.scaled(n1, n2)
             k = math.gcd(s, scale)
             row.append((n2, s // k, scale // k))
         yield n1, row

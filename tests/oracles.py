@@ -7,7 +7,8 @@ quantities take every binomial from its own `math.comb`, so they can
 arbitrate the walked binomials of `analysis`.  The serialisation oracles
 build each weight as a `Fraction` and run the standard `json` encoder, and
 the bound oracle walks every degree's summation window term by term.  The
-max-cut oracle scans every pair of side masks on an int64 grid.
+max-cut oracle scans every pair of side masks on an int64 grid, and the
+MaxSAT oracle scores every assignment of a WCNF document's variables.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from localcut.analysis import tau_formula
-from localcut.ngraph import Neighbourhood, build_ngraph, edge_weight, weight_profiles
+from localcut.ngraph import Neighbourhood, build_ngraph
 
 _SIDE = ("a", "b")
 
@@ -202,11 +203,6 @@ def virtual_expected_edge_cuts(adjacency, d, tau) -> dict:
     return {e: Fraction(c, 1 << total_bits) for e, c in counts.items()}
 
 
-def central_ratio(n: int) -> Fraction:
-    """C(2n, n) / 4^n, the central binomial mass."""
-    return Fraction(math.comb(2 * n, n), 4**n)
-
-
 def offset_ratio(n: int, delta: int) -> Fraction:
     """C(2n, n + delta) / C(2n, n)."""
     return Fraction(math.comb(2 * n, n + delta), math.comb(2 * n, n))
@@ -245,12 +241,22 @@ def ngraph_json_doc(g) -> dict:
 
 
 def ngraph_table_lines(d: int) -> list[str]:
-    """The pair lines of `format_ngraph_table`, each weight from `edge_weight`."""
+    """The pair lines of `format_ngraph_table`, each weight from `math.comb`.
+
+    Across sides the pair ((k, i1), (k', i2)) weighs C(d-1, i1) * C(d-1, i2)
+    / 4^d; on one side both like counts include the other endpoint, so each
+    binomial takes i - 1 (and C(d-1, -1) is 0).
+    """
+
+    def count(i: int) -> int:
+        return math.comb(d - 1, i) if i >= 0 else 0
+
     nodes = [Neighbourhood(k, i) for k in _SIDE for i in range(d + 1)]
     lines = []
     for n1 in nodes:
         for n2 in nodes:
-            w = edge_weight(d, n1, n2)
+            shift = n1.side == n2.side
+            w = Fraction(count(n1.like_count - shift) * count(n2.like_count - shift), 4**d)
             lines.append(
                 f"{n1.side} {n1.like_count} {n2.side} {n2.like_count}"
                 f" {w.numerator} {w.denominator}"
@@ -297,9 +303,11 @@ def _side_sums(d: int) -> tuple[np.ndarray, np.ndarray]:
 
     Bit i of a mask is the label of node (side, i): 0 for 'a', 1 for 'b'.
     x sums B over the label-b bits and q = a0 * a1 + sum(B) * x, where a0 and
-    a1 sum A over the label-a and label-b bits (B, A from `weight_profiles`).
+    a1 sum A over the label-a and label-b bits, with B[i] = C(d-1, i) and
+    A[i] = C(d-1, i-1) from `math.comb`.
     """
-    B, A = weight_profiles(d)
+    B = [math.comb(d - 1, i) for i in range(d + 1)]  # C(d-1, d) = 0
+    A = [0] + B[:d]
     masks = np.arange(1 << (d + 1), dtype=np.int64)
     bits = (masks[:, None] >> np.arange(d + 1)) & 1
     x, a1 = np.array([B, A], dtype=np.int64) @ bits.T
@@ -342,3 +350,36 @@ def grid_max_cut(d: int):
     bits = min(f"{ma:0{d + 1}b}"[::-1] + f"{mb:0{d + 1}b}"[::-1] for ma, mb in hits)
     labels = {n: "ab"[int(c)] for n, c in zip(build_ngraph(d).nodes, bits)}
     return labels, Fraction(2 * best, 4**d)
+
+
+def exhaustive_max_weight(doc) -> tuple[int, dict]:
+    """Best satisfied clause weight of a `cutsearch.WcnfDocument`, by enumeration.
+
+    Only meant for small documents (2d + 2 variables, d <= 8 or so).  Decodes
+    the best assignment back to labels via x true = 'a'; ties resolve to the
+    lexicographically smallest assignment in node order.
+    """
+    nv = doc.variable_count
+    if nv > 22:
+        raise ValueError(f"refusing exhaustive evaluation with {nv} variables")
+    assignments = np.arange(1 << nv, dtype=np.int64)
+    truth = [(assignments >> i) & 1 for i in range(nv)]  # truth[i] = var i+1
+    total = np.zeros(len(assignments), dtype=np.int64)
+    for c in doc.clauses:
+        sat = np.zeros(len(assignments), dtype=bool)
+        for lit in c.literals:
+            t = truth[abs(lit) - 1]
+            sat |= (t == 1) if lit > 0 else (t == 0)
+        total += c.weight * sat
+    best = int(total.max())
+
+    def lex_key(mask: int) -> tuple[int, ...]:
+        # label 'a' (x true) sorts before 'b', hence the negation
+        return tuple(1 - ((mask >> i) & 1) for i in range(nv))
+
+    winners = [int(m) for m in np.nonzero(total == best)[0]]
+    mask = min(winners, key=lex_key)
+    labels = {
+        n: "a" if (mask >> i) & 1 else "b" for i, n in enumerate(doc.var_nodes)
+    }
+    return best, labels

@@ -23,7 +23,6 @@ from localcut.cutsearch import (
     brute_force_max_cut,
     evaluate_cut,
     export_wcnf,
-    exhaustive_max_weight,
     matching_threshold,
     threshold_assignment,
 )
@@ -39,7 +38,7 @@ from localcut.sim import (
     petersen_graph,
     random_bipartite_regular,
 )
-from oracles import threshold_cut_probability
+from oracles import exhaustive_max_weight, threshold_cut_probability
 
 TABLE_1 = [
     2, 3, 3, 4, 5, 5, 6, 6, 7, 7, 8, 9, 9, 10, 10, 11,

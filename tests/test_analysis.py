@@ -19,7 +19,6 @@ from localcut.analysis import (
     appendix_report_json,
     binomial_row,
     bound_report_json,
-    central_ratio,
     format_bound_report_json,
     offset_ratio,
     optimal_tau,
@@ -32,7 +31,6 @@ from localcut.analysis import (
     threshold_bound,
     verify_appendix_estimates,
     verify_theorem_bound,
-    window_mass,
     write_alpha_sweep_csv,
     write_tau_opt_csv,
     _decide,
@@ -293,31 +291,16 @@ def test_tail_offset_values():
 
 def test_tail_quantities_are_exact():
     n = 1500
-    assert central_ratio(2) == Fraction(6, 16)
     assert offset_ratio(n, 0) == 1
     assert tail_power(4, 27) == (1 - Fraction(16, 32 * 27)) ** 27
-    assert window_mass(2, -1, 1) == Fraction(4 + 6 + 4, 16)
 
 
 @pytest.mark.parametrize("n", [2, 1500, 1777, 3000])
 def test_walked_tail_quantities_match_comb_oracles(n):
-    assert central_ratio(n) == oracles.central_ratio(n)
     deltas = [tail_offset(j, n) for j in TAIL_J]
     for delta in {0, 1, *deltas}:
         for sign in (1, -1):
             assert offset_ratio(n, sign * delta) == oracles.offset_ratio(n, sign * delta)
-    delta4 = deltas[-1]
-    windows = [
-        (1 - delta4, delta4),  # full
-        (1 - delta4, delta4 - 1),  # trimmed
-        (-delta4, delta4 + 3),
-        (-1, delta4),
-        (2, delta4),
-        (-min(delta4 + 2, n), -1),  # math.comb rejects n + i < 0
-        (3, 2),  # empty
-    ]
-    for lo, hi in windows:
-        assert window_mass(n, lo, hi) == oracles.window_mass(n, lo, hi), (lo, hi)
 
 
 def test_appendix_window_checks_match_comb_oracles():

@@ -365,6 +365,16 @@ def test_simulate_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("alg", ["uniform", "shearer"])
+def test_simulate_tau_for_a_rule_without_one_is_a_usage_error(capsys, alg):
+    code, out, err = run(
+        capsys, "simulate", "--family", "kdd", "--d", "3", "--alg", alg,
+        "--tau", "2", "--trials", "10",
+    )
+    assert code == 2 and out == ""
+    assert f"--tau does not apply to --alg {alg}" in err
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_a_usage_error(capsys, seed):
     for argv in (

@@ -15,14 +15,13 @@ from localcut.cutsearch import (
     brute_force_max_cut,
     complement_assignment,
     evaluate_cut,
-    exhaustive_max_weight,
     export_wcnf,
     format_wcnf,
     matching_threshold,
     threshold_assignment,
 )
 from localcut.ngraph import Neighbourhood, build_ngraph
-from oracles import grid_max_cut, threshold_cut_probability
+from oracles import exhaustive_max_weight, grid_max_cut, threshold_cut_probability
 
 
 def test_threshold_boundary_assignments():

@@ -7,15 +7,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from localcut.ngraph import (
     Neighbourhood,
     all_neighbourhoods,
     build_ngraph,
     complement_side,
-    edge_weight,
     format_ngraph_table,
     parse_ngraph_table,
 )
@@ -31,7 +28,7 @@ def test_known_weights_d3():
 
 def test_same_side_zero_like_impossible_d2():
     n = Neighbourhood("a", 0)
-    assert edge_weight(2, n, n) == 0
+    assert build_ngraph(2).weight(n, n) == 0
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -71,15 +68,6 @@ def test_weights_match_bit_pattern_enumeration(d):
             assert g.weight(n1, n2) == oracle.get((n1, n2), Fraction(0))
 
 
-@given(st.integers(min_value=2, max_value=12), st.data())
-@settings(max_examples=40, deadline=None)
-def test_edge_weight_matches_build(d, data):
-    nodes = all_neighbourhoods(d)
-    n1 = data.draw(st.sampled_from(nodes))
-    n2 = data.draw(st.sampled_from(nodes))
-    assert edge_weight(d, n1, n2) == build_ngraph(d).weight(n1, n2)
-
-
 def test_node_order_and_count():
     nodes = all_neighbourhoods(3)
     assert len(nodes) == 8
@@ -96,7 +84,7 @@ def test_table_round_trip():
     assert len(text.strip().splitlines()) == 1 + 10 * 10
     parsed = parse_ngraph_table(text)
     assert parsed.degree == 4
-    assert parsed.scaled == g.scaled
+    assert parsed == g
 
 
 def test_table_line_format():
@@ -149,8 +137,8 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_ngraph(1)
     with pytest.raises(ValueError):
-        edge_weight(3, Neighbourhood("a", 4), Neighbourhood("b", 0))
+        build_ngraph(3).weight(Neighbourhood("a", 4), Neighbourhood("b", 0))
     with pytest.raises(ValueError):
-        edge_weight(3, Neighbourhood("c", 0), Neighbourhood("b", 0))
+        build_ngraph(3).weight(Neighbourhood("c", 0), Neighbourhood("b", 0))
     with pytest.raises(ValueError):
         complement_side("x")
