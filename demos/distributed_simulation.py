@@ -50,7 +50,7 @@ print()
 print("virtual neighbours: a star's leaves have degree 1, so each simulates")
 print("two extra neighbours and the per-edge guarantee 11/16 still applies:")
 star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-st = monte_carlo(star, VirtualNeighbourCut(3, 3), TRIALS, SEED, per_edge=True)
+st = monte_carlo(star, VirtualNeighbourCut(3), TRIALS, SEED, per_edge=True)
 for (u, v), count in st.per_edge.items():
     print(f"  edge ({u},{v}): frequency {count / st.trials:.4f}")
 
@@ -58,7 +58,7 @@ print()
 print("triangles: on a triangle with a pendant per corner, only the clean")
 print("edges carry the guarantee; the flagged ones are reported, not promised:")
 tri = from_edges(6, 3, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
-st = monte_carlo(tri, VirtualNeighbourCut(3, 3), TRIALS, SEED)
+st = monte_carlo(tri, VirtualNeighbourCut(3), TRIALS, SEED)
 print(f"  clean-edge mean   {st.clean_edge_mean:.4f}  (exact 11/16 = 0.6875)")
 print(f"  flagged-edge mean {st.flagged_edge_mean:.4f}  (no guarantee)")
 print(f"  overall mean      {st.mean:.4f}  >= (1 - {st.flagged_edge_fraction})"

@@ -246,7 +246,6 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
     if d_max < 2:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     checks = []
-    equalities = []
     tau = 2  # tau_formula(2); the window at d = 2 is [1, 1] on row 1
     lo = hi = 1
     s = c_lo = c_hi = 1  # S, C(n, lo), C(n, hi)
@@ -270,18 +269,14 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
             c_hi += below
         gain = c_hi * s  # C(n, tau-1) * S = (alpha - 1/2) * 4^n
         margin = (gain * gain * d << 10) - rhs
-        passed = margin >= 0
-        equality = margin == 0
-        if equality:
-            equalities.append(d)
         checks.append(
             BoundCheck(
                 degree=d,
                 tau=tau,
                 gain=gain,
                 margin=margin,
-                passed=passed,
-                equality=equality,
+                passed=margin >= 0,
+                equality=margin == 0,
             )
         )
         rhs <<= 4
@@ -289,7 +284,7 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
         d_max=d_max,
         checks=tuple(checks),
         all_pass=all(c.passed for c in checks),
-        equality_degrees=tuple(equalities),
+        equality_degrees=tuple(c.degree for c in checks if c.equality),
     )
 
 
@@ -366,31 +361,24 @@ def _decide(
     Never silently passes: if the cap is reached with the threshold still
     inside the interval, the check is reported as inconclusive.
     """
+    if relation not in (">", "<"):
+        raise ValueError(f"unknown relation {relation!r}")
+    below = relation == "<"  # decided as ">" on the negated interval and threshold
+    bar = -threshold if below else threshold
     precision = 16
     while True:
         iv = make_interval(precision)
-        if relation == ">":
-            if iv.entirely_above(threshold):
-                status = "holds"
-            elif iv.hi <= threshold:
-                status = "fails"
-            else:
-                status = None
-        elif relation == "<":
-            if iv.entirely_below(threshold):
-                status = "holds"
-            elif iv.lo >= threshold:
-                status = "fails"
-            else:
-                status = None
+        view = iv.scale(-1) if below else iv
+        if view.entirely_above(bar):
+            status = "holds"
+        elif view.hi <= bar:
+            status = "fails"
+        elif precision < precision_cap:
+            precision = min(2 * precision, precision_cap)
+            continue
         else:
-            raise ValueError(f"unknown relation {relation!r}")
-        if status is not None:
-            break
-        if precision >= precision_cap:
             status = "inconclusive"
-            break
-        precision = min(2 * precision, precision_cap)
+        break
     return EstimateCheck(
         name=name,
         n=n,
@@ -404,11 +392,21 @@ def _decide(
     )
 
 
-def _sqrt_interval(iv: Interval, bits: int) -> Interval:
-    return Interval(
-        sqrt_enclosure(iv.lo, bits).lo,
-        sqrt_enclosure(iv.hi, bits).hi,
-    )
+def _times_root_pi_n(x: Fraction, n: int) -> Callable[[int], Interval]:
+    """The enclosure p -> sqrt(pi n) * x, from pi to p series terms."""
+
+    def enclose(p: int) -> Interval:
+        pi_n = pi_enclosure(p).scale(n)
+        bits = max(32, 4 * p)
+        root = Interval(sqrt_enclosure(pi_n.lo, bits).lo, sqrt_enclosure(pi_n.hi, bits).hi)
+        return root * Interval.point(x)
+
+    return enclose
+
+
+def _over_gaussian(x: Fraction, j: int) -> Callable[[int], Interval]:
+    """The enclosure p -> x / e^(-j^2/32), from p terms of the exp series."""
+    return lambda p: Interval.point(x) * exp_enclosure(Fraction(-j * j, 32), p).reciprocal()
 
 
 def verify_appendix_estimates(
@@ -442,58 +440,32 @@ def verify_appendix_estimates(
         if n < MIN_TAIL_N:
             raise ValueError(f"estimates are only claimed for n >= {MIN_TAIL_N}, got {n}")
 
-    checks = []
-
-    def decide(name, n, j, make_interval, threshold, relation):
-        checks.append(
-            _decide(name, n, j, make_interval, threshold, relation, precision_cap)
-        )
-
+    share = Fraction("0.995")  # of e^(-j^2/32), for the off-centre checks
+    entries = []  # (name, n, j, enclosure, threshold, relation)
     for n in ns:
         delta4 = tail_offset(4, n)
         row = _central_row(n, delta4)  # C(2n, n + i), i = 0..delta_4
         scale = 4**n
-        r = Fraction(row[0], scale)  # C(2n, n) / 4^n, the central mass
-
-        def scaled_central(p: int, n=n, r=r) -> Interval:
-            root = _sqrt_interval(pi_enclosure(p).scale(n), max(32, 4 * p))
-            return root * Interval.point(r)
-
-        decide("central_mass_lower", n, None, scaled_central, Fraction("0.999"), ">")
-        decide("central_mass_upper", n, None, scaled_central, Fraction(1), "<")
-
+        central = _times_root_pi_n(Fraction(row[0], scale), n)  # sqrt(pi n) C(2n, n) / 4^n
+        entries.append(("central_mass_lower", n, None, central, Fraction("0.999"), ">"))
+        entries.append(("central_mass_upper", n, None, central, Fraction(1), "<"))
         for j in TAIL_J:
-            delta = tail_offset(j, n)
-            ratio = offset_ratio(n, delta)
-
-            def rel_offcentre(p: int, j=j, ratio=ratio) -> Interval:
-                growth = exp_enclosure(Fraction(-j * j, 32), p).reciprocal()
-                return Interval.point(ratio) * growth
-
-            decide("offcentre_mass", n, j, rel_offcentre, Fraction("0.995"), ">")
-
+            ratio = offset_ratio(n, tail_offset(j, n))
+            entries.append(("offcentre_mass", n, j, _over_gaussian(ratio, j), share, ">"))
         # sum of C(2n, n + i) over |i| < delta_4 by symmetry, then its right column
         inner = row[0] + 2 * sum(row[1:delta4])
-        full = Fraction(inner + row[delta4], scale)
-        trimmed = Fraction(inner, scale)
-        decide(
-            "window_mass_full", n, None,
-            lambda p, v=full: Interval.point(v), Fraction("0.6088"), ">",
-        )
-        decide(
-            "window_mass_trimmed", n, None,
-            lambda p, v=trimmed: Interval.point(v), Fraction("0.5975"), ">",
-        )
+        for name, mass, bar in (
+            ("window_mass_full", inner + row[delta4], "0.6088"),
+            ("window_mass_trimmed", inner, "0.5975"),
+        ):
+            point = Interval.point(Fraction(mass, scale))
+            entries.append((name, n, None, lambda p, iv=point: iv, Fraction(bar), ">"))
 
     for j in TAIL_J:
-        delta = tail_offset(j, MIN_TAIL_N)
+        power = tail_power(j, tail_offset(j, MIN_TAIL_N))
+        entries.append(("offcentre_power", None, j, _over_gaussian(power, j), share, ">"))
 
-        def rel_power(p: int, j=j, delta=delta) -> Interval:
-            growth = exp_enclosure(Fraction(-j * j, 32), p).reciprocal()
-            return Interval.point(tail_power(j, delta)) * growth
-
-        decide("offcentre_power", None, j, rel_power, Fraction("0.995"), ">")
-
+    checks = [_decide(*entry, precision_cap) for entry in entries]
     return AppendixEstimateReport(
         checks=tuple(checks),
         all_hold=all(c.status == "holds" for c in checks),

@@ -29,6 +29,8 @@ from . import analysis, cutsearch, ngraph, sim
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_TRIALS = 10_000
+DEFAULT_DMAX = 3000
+DEFAULT_PRECISION_CAP = 4096
 
 
 def _rational(x: Fraction) -> str:
@@ -171,17 +173,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "error: pass exactly one of --bound or --appendix", file=sys.stderr
         )
         return 2
+    # each mode's option is a usage error in the other mode
+    if args.bound and args.precision_cap is not None:
+        raise ValueError("--precision-cap does not apply to --bound")
+    if args.appendix is not None and args.dmax is not None:
+        raise ValueError("--dmax does not apply to --appendix")
     # the report is computed before --out is opened, so a usage error leaves
     # an existing file as it was
     if args.bound:
-        report = analysis.verify_theorem_bound(args.dmax)
+        report = analysis.verify_theorem_bound(DEFAULT_DMAX if args.dmax is None else args.dmax)
         text = analysis.format_bound_report_json(analysis.bound_report_json(report))
         ok = report.all_pass
     else:
         ns = [int(x) for x in args.appendix.split(",") if x]
-        report = analysis.verify_appendix_estimates(
-            ns, precision_cap=args.precision_cap
-        )
+        cap = DEFAULT_PRECISION_CAP if args.precision_cap is None else args.precision_cap
+        report = analysis.verify_appendix_estimates(ns, precision_cap=cap)
         text = json.dumps(analysis.appendix_report_json(report), indent=2) + "\n"
         ok = report.all_hold and report.conclusive
     with _output(args.out) as fh:
@@ -219,7 +225,7 @@ def _build_algorithm(args: argparse.Namespace, g: sim.RegularGraph):
     if args.alg == "shearer":
         return sim.ShearerCut()
     if args.alg == "virtual":
-        return sim.VirtualNeighbourCut(g.degree, tau)
+        return sim.VirtualNeighbourCut(tau)
     raise ValueError(f"unknown algorithm {args.alg!r}")
 
 
@@ -347,7 +353,9 @@ def _make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="integer comparison of alpha(tau(d), d) against 1/2 + 9/(32 sqrt(d))",
     )
-    p.add_argument("--dmax", type=int, default=3000, help="largest degree checked")
+    # None marks --dmax / --precision-cap as unset, so cmd_verify can reject
+    # one given in the other mode
+    p.add_argument("--dmax", type=int, help="largest degree checked")
     p.add_argument(
         "--appendix",
         metavar="N_LIST",
@@ -356,7 +364,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--precision-cap",
         type=int,
-        default=4096,
         help="interval precision ceiling for --appendix, at least 16",
     )
     add_out(p)

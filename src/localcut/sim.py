@@ -292,16 +292,17 @@ def apply_threshold_rule(nbr_matrix: np.ndarray, c1: np.ndarray, tau: int) -> np
 
 
 def apply_shearer_rule(
-    nbr_matrix: np.ndarray, d: int, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray
+    nbr_matrix: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray
 ) -> np.ndarray:
     """Follow c1 below d/2 agreement, c2 above, c3 breaking the tie.
 
-    A node keeps its c1 bit when under half its neighbours agree (many cut
-    edges locally), falls back to the fresh cut c2 when over half agree, and
-    at exactly d/2 follows c1 if its c3 bit is 0 and c2 if it is 1.
+    A node keeps its c1 bit when under half its d = nbr_matrix.shape[1]
+    neighbours agree (many cut edges locally), falls back to the fresh cut
+    c2 when over half agree, and at exactly d/2 follows c1 if its c3 bit is
+    0 and c2 if it is 1.
     """
     like = like_counts(nbr_matrix, c1)
-    rest = d - like  # disagreeing neighbours
+    rest = nbr_matrix.shape[1] - like  # disagreeing neighbours
     keep_c1 = (like < rest) | ((like == rest) & (c3 == 0))
     return np.where(keep_c1, c1, c2)
 
@@ -406,13 +407,9 @@ def _check_tau(tau: int, d: int) -> None:
         raise ValueError(f"tau must be in [0, {d + 1}], got {tau}")
 
 
-def _padded_matrix(g: RegularGraph, d: int) -> Tuple[np.ndarray, int]:
-    """`g.nbr` at width d, padding numbered as virtual bits in node, then slot order."""
-    top = int(np.count_nonzero(g.nbr >= 0, axis=1).max())
-    if top > d:
-        raise ValueError(f"a node has degree {top}, above the simulated degree {d}")
-    padded = np.full((g.node_count, d), -1, dtype=np.intp)
-    padded[:, : min(d, g.degree)] = g.nbr[:, :d]
+def _padded_matrix(g: RegularGraph) -> Tuple[np.ndarray, int]:
+    """`g.nbr` with its padding numbered as virtual bits in node, then slot order."""
+    padded = g.nbr.astype(np.intp)
     slots = padded < 0
     padded[slots] = np.arange(g.node_count, g.node_count + np.count_nonzero(slots))
     return padded, int(np.count_nonzero(slots))
@@ -434,14 +431,14 @@ def run_shearer(g: RegularGraph, seed: int) -> NodeLabels:
     return _one_trial(g, ShearerCut(), seed)
 
 
-def run_virtual_neighbour(g: RegularGraph, d: int, tau: int, seed: int) -> NodeLabels:
-    """Threshold rule on a graph with degrees <= d via simulated neighbours.
+def run_virtual_neighbour(g: RegularGraph, tau: int, seed: int) -> NodeLabels:
+    """Threshold rule on a graph of declared degree d via simulated neighbours.
 
-    Each node of degree d' draws its own bit plus d - d' virtual-neighbour
+    Each node of degree d' <= d draws its own bit plus d - d' virtual-neighbour
     bits and counts agreement over real and virtual neighbours together.
     Own bits come first (node order), then the virtual bits (node order).
     """
-    return _one_trial(g, VirtualNeighbourCut(d, tau), seed)
+    return _one_trial(g, VirtualNeighbourCut(tau), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +462,8 @@ class ShearerCut:
 
 @dataclass(frozen=True)
 class VirtualNeighbourCut:
-    degree: int
+    """Threshold rule at the graph's declared degree, padding with virtual neighbours."""
+
     tau: int
 
 
@@ -502,12 +500,12 @@ def _block_rule(g: RegularGraph, alg: AlgorithmSpec):
     if isinstance(alg, (ThresholdCut, ShearerCut)):
         _require_strict(g, type(alg).__name__)
         if isinstance(alg, ShearerCut):
-            return (n, n, n), lambda *cuts: apply_shearer_rule(g.nbr, g.degree, *cuts)
+            return (n, n, n), lambda *cuts: apply_shearer_rule(g.nbr, *cuts)
         _check_tau(alg.tau, g.degree)
         return (n,), lambda c1: apply_threshold_rule(g.nbr, c1, alg.tau)
     if isinstance(alg, VirtualNeighbourCut):
-        _check_tau(alg.tau, alg.degree)
-        padded, virtual_total = _padded_matrix(g, alg.degree)
+        _check_tau(alg.tau, g.degree)
+        padded, virtual_total = _padded_matrix(g)
         return (n, virtual_total), lambda *bits: apply_virtual_rule(padded, *bits, alg.tau)
     raise ValueError(f"unknown algorithm spec {alg!r}")
 

@@ -165,20 +165,20 @@ def test_criterion_7_threshold_beats_the_three_cut_rule():
 def test_criterion_8_generalised_modes():
     t0 = time.perf_counter()
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    st = monte_carlo(star, VirtualNeighbourCut(3, 3), TRIALS, SEED, per_edge=True)
+    st = monte_carlo(star, VirtualNeighbourCut(3), TRIALS, SEED, per_edge=True)
     sigma = math.sqrt((11 / 16) * (5 / 16) / TRIALS)
     for e, count in st.per_edge.items():
         assert abs(count / TRIALS - 11 / 16) <= 3 * sigma, f"star edge {e}"
 
     path = from_edges(3, 2, [(0, 1), (1, 2)])
-    st = monte_carlo(path, VirtualNeighbourCut(2, 2), TRIALS, SEED, per_edge=True)
+    st = monte_carlo(path, VirtualNeighbourCut(2), TRIALS, SEED, per_edge=True)
     sigma = math.sqrt((3 / 4) * (1 / 4) / TRIALS)
     for e, count in st.per_edge.items():
         assert abs(count / TRIALS - 3 / 4) <= 3 * sigma, f"path edge {e}"
 
     # triangle 0-1-2 with one pendant per corner: half the edges flagged
     tri = from_edges(6, 3, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
-    st = monte_carlo(tri, VirtualNeighbourCut(3, 3), TRIALS, SEED)
+    st = monte_carlo(tri, VirtualNeighbourCut(3), TRIALS, SEED)
     eps = st.flagged_edge_fraction
     assert eps == 0.5
     sigma = math.sqrt((11 / 16) * (5 / 16) / (TRIALS * 3))

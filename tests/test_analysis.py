@@ -376,6 +376,44 @@ def test_decision_engine_escalates_precision():
     assert check.status == "fails"
 
 
+def test_decision_engine_below_the_threshold():
+    half = Fraction(1, 2)
+
+    def point(x):
+        return lambda p: Interval.point(x)
+
+    check = _decide("stub", None, None, point(Fraction(1, 3)), half, "<", 64)
+    assert (check.status, check.precision) == ("holds", 16)
+    check = _decide("stub", None, None, point(Fraction(2, 3)), half, "<", 64)
+    assert (check.status, check.precision) == ("fails", 16)
+    # touching the threshold is not strictly below it
+    check = _decide("stub", None, None, point(half), half, "<", 64)
+    assert (check.status, check.precision) == ("fails", 16)
+    wide = Interval(Fraction(0), Fraction(1))
+    check = _decide("stub", None, None, lambda p: wide, half, "<", 64)
+    assert (check.status, check.precision) == ("inconclusive", 64)
+    assert (check.lo, check.hi) == (wide.lo, wide.hi)
+
+
+def test_decision_engine_below_after_one_escalation():
+    seen = []
+
+    def shrinking(p: int) -> Interval:
+        # 3/8 +- 3/p: straddles 1/2 at p = 16, lies below it from p = 32 on
+        seen.append(p)
+        return Interval(Fraction(3, 8) - Fraction(3, p), Fraction(3, 8) + Fraction(3, p))
+
+    check = _decide("stub", 7, 2, shrinking, Fraction(1, 2), "<", 4096)
+    assert seen == [16, 32]
+    assert (check.status, check.precision, check.relation) == ("holds", 32, "<")
+    assert (check.n, check.j, check.hi) == (7, 2, Fraction(15, 32))
+
+
+def test_decision_engine_rejects_an_unknown_relation():
+    with pytest.raises(ValueError, match="unknown relation"):
+        _decide("stub", None, None, lambda p: Interval.point(1), Fraction(1, 2), ">=", 64)
+
+
 # ---------------------------------------------------------------------------
 # Emitters
 

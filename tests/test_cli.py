@@ -223,6 +223,12 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--bound", "--dmax", "1")[0] == 2
     assert run(capsys, "verify", "--appendix", "1499")[0] == 2
     assert run(capsys, "verify", "--appendix", "xyz")[0] == 2
+    code, _, err = run(
+        capsys, "verify", "--bound", "--dmax", "10", "--precision-cap", "8"
+    )
+    assert code == 2 and "--precision-cap" in err
+    code, _, err = run(capsys, "verify", "--appendix", "1500", "--dmax", "5")
+    assert code == 2 and "--dmax" in err
 
 
 def test_verify_precision_cap_below_16_is_a_usage_error(capsys):
@@ -236,6 +242,8 @@ def test_verify_precision_cap_below_16_is_a_usage_error(capsys):
         ("--appendix", "10"),
         ("--appendix", "1500", "--precision-cap", "8"),
         ("--bound", "--dmax", "1"),
+        ("--bound", "--dmax", "10", "--precision-cap", "8"),
+        ("--appendix", "1500", "--dmax", "5"),
     ],
 )
 def test_verify_usage_error_leaves_an_existing_out_file(capsys, tmp_path, argv):

@@ -362,8 +362,8 @@ def test_runner_validation():
         run_threshold(from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]), 3, seed=0)
     with pytest.raises(ValueError, match="triangle"):
         run_shearer(from_edges(3, 2, [(0, 1), (1, 2), (0, 2)]), seed=0)
-    with pytest.raises(ValueError, match="above the simulated degree"):
-        run_virtual_neighbour(complete_bipartite(3), 2, 2, seed=0)
+    with pytest.raises(ValueError, match="tau must be in"):
+        run_virtual_neighbour(complete_bipartite(3), 5, seed=0)
 
 
 def test_shearer_ignores_c3_for_odd_degree():
@@ -371,8 +371,8 @@ def test_shearer_ignores_c3_for_odd_degree():
     nbr = g.nbr
     rng = make_trial_rng(3, 0)
     c1, c2 = draw_bits(rng, 10), draw_bits(rng, 10)
-    out0 = apply_shearer_rule(nbr, 3, c1, c2, np.zeros(10, dtype=np.uint8))
-    out1 = apply_shearer_rule(nbr, 3, c1, c2, np.ones(10, dtype=np.uint8))
+    out0 = apply_shearer_rule(nbr, c1, c2, np.zeros(10, dtype=np.uint8))
+    out1 = apply_shearer_rule(nbr, c1, c2, np.ones(10, dtype=np.uint8))
     assert np.array_equal(out0, out1)
 
 
@@ -382,8 +382,8 @@ def test_shearer_tie_break():
     # node 0's neighbours are 1 and 3; give it exactly one agreeing neighbour
     c1 = np.array([0, 0, 1, 1], dtype=np.uint8)
     c2 = np.array([1, 1, 1, 1], dtype=np.uint8)
-    tie_to_c1 = apply_shearer_rule(nbr, 2, c1, c2, np.zeros(4, dtype=np.uint8))
-    tie_to_c2 = apply_shearer_rule(nbr, 2, c1, c2, np.ones(4, dtype=np.uint8))
+    tie_to_c1 = apply_shearer_rule(nbr, c1, c2, np.zeros(4, dtype=np.uint8))
+    tie_to_c2 = apply_shearer_rule(nbr, c1, c2, np.ones(4, dtype=np.uint8))
     assert tie_to_c1[0] == c1[0] and tie_to_c2[0] == c2[0]
 
 
@@ -394,25 +394,25 @@ def test_one_round_locality():
     c1, c2, c3 = (draw_bits(rng, 10) for _ in range(3))
     v = 0
     base_thr = apply_threshold_rule(nbr, c1, 3)[v]
-    base_she = apply_shearer_rule(nbr, 3, c1, c2, c3)[v]
+    base_she = apply_shearer_rule(nbr, c1, c2, c3)[v]
     for w in range(10):
         if w == v or w in g.nbr[v].tolist():
             continue
         flipped = c1.copy()
         flipped[w] ^= 1
         assert apply_threshold_rule(nbr, flipped, 3)[v] == base_thr
-        assert apply_shearer_rule(nbr, 3, flipped, c2, c3)[v] == base_she
+        assert apply_shearer_rule(nbr, flipped, c2, c3)[v] == base_she
         # c2 and c3 of other nodes are invisible to v as well
         for other in (c2, c3):
             bumped = other.copy()
             bumped[w] ^= 1
             args = (bumped, c3) if other is c2 else (c2, bumped)
-            assert apply_shearer_rule(nbr, 3, c1, *args)[v] == base_she
+            assert apply_shearer_rule(nbr, c1, *args)[v] == base_she
 
 
 def test_virtual_locality_and_padding():
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    padded, total = sim._padded_matrix(star, 3)
+    padded, total = sim._padded_matrix(star)
     assert total == 6  # three leaves simulate two neighbours each
     c1 = np.array([0, 1, 1, 0], dtype=np.uint8)
     virtual = np.zeros(6, dtype=np.uint8)
@@ -428,7 +428,7 @@ def test_virtual_locality_and_padding():
 def test_virtual_equals_threshold_on_regular_graphs():
     g = complete_bipartite(3)
     for seed in (0, 1, 2, 3):
-        assert run_virtual_neighbour(g, 3, 3, seed) == run_threshold(g, 3, seed)
+        assert run_virtual_neighbour(g, 3, seed) == run_threshold(g, 3, seed)
 
 
 def test_randomness_budget(monkeypatch):
@@ -451,7 +451,7 @@ def test_randomness_budget(monkeypatch):
     assert calls == [[(10, 1), (10, 1), (10, 1)]]  # three cuts
     calls.clear()
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    run_virtual_neighbour(star, 3, 3, seed=0)
+    run_virtual_neighbour(star, 3, seed=0)
     assert calls == [[(4, 1), (6, 1)]]  # one own bit per node, then 2 virtual bits per leaf
     calls.clear()
     monte_carlo(g, UniformCut(), trials=3, seed=0)
@@ -529,7 +529,7 @@ def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
         "uniform": UniformCut(),
         "threshold": ThresholdCut(3),
         "shearer": ShearerCut(),
-        "virtual": VirtualNeighbourCut(3, 2),
+        "virtual": VirtualNeighbourCut(2),
     }[alg]
     default = monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True)
     monkeypatch.setattr(sim, "BLOCK_SLOTS", 1)  # one trial per block
@@ -544,7 +544,7 @@ def test_monte_carlo_matches_the_per_trial_stream():
     counts = dict.fromkeys(edges, 0)
     for t in range(300):
         rng = make_trial_rng(9, t)
-        out = apply_shearer_rule(nbr, 3, *(draw_bits(rng, 10) for _ in range(3)))
+        out = apply_shearer_rule(nbr, *(draw_bits(rng, 10) for _ in range(3)))
         for u, v in edges:
             counts[(u, v)] += int(out[u] != out[v])
     st = monte_carlo(g, ShearerCut(), trials=300, seed=9, per_edge=True)
@@ -634,7 +634,7 @@ def test_virtual_per_edge_frequencies_on_the_star():
     exact = virtual_expected_edge_cuts(neighbour_lists(star), 3, 3)
     assert set(exact.values()) == {Fraction(11, 16)}
     trials = 20_000
-    st = monte_carlo(star, VirtualNeighbourCut(3, 3), trials, seed=7, per_edge=True)
+    st = monte_carlo(star, VirtualNeighbourCut(3), trials, seed=7, per_edge=True)
     sigma = math.sqrt((11 / 16) * (5 / 16) / trials)
     for e, count in st.per_edge.items():
         assert abs(count / trials - 11 / 16) <= 3 * sigma
@@ -645,7 +645,7 @@ def test_triangle_flagged_edges_are_reported_separately():
     with pytest.raises(ValueError, match="virtual"):
         monte_carlo(g, ThresholdCut(3), trials=10, seed=0)
     trials = 20_000
-    st = monte_carlo(g, VirtualNeighbourCut(3, 3), trials, seed=11)
+    st = monte_carlo(g, VirtualNeighbourCut(3), trials, seed=11)
     assert st.flagged_edge_fraction == 0.5
     sigma = math.sqrt((11 / 16) * (5 / 16) / (trials * 3))
     assert abs(st.clean_edge_mean - 11 / 16) <= 3 * sigma
@@ -726,7 +726,7 @@ def test_trial_stats_json_shape():
     assert len(doc["per_edge"]) == 9
     assert doc["per_edge"][0]["cut_count"] == st.per_edge[(0, 3)]
     flagged = monte_carlo(
-        triangle_with_pendants(), VirtualNeighbourCut(3, 3), trials=50, seed=1
+        triangle_with_pendants(), VirtualNeighbourCut(3), trials=50, seed=1
     )
     fdoc = trial_stats_jsonable(flagged)
     assert {"clean_edge_mean", "flagged_edge_mean", "flagged_edge_fraction"} <= set(fdoc)
