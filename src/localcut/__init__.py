@@ -71,9 +71,7 @@ from .sim import (
     random_bipartite_regular,
     random_triangle_free,
     read_edge_list,
-    run_shearer,
-    run_threshold,
-    run_virtual_neighbour,
+    run_trial,
     write_edge_list,
 )
 
@@ -118,9 +116,7 @@ __all__ = [
     "random_bipartite_regular",
     "random_triangle_free",
     "read_edge_list",
-    "run_shearer",
-    "run_threshold",
-    "run_virtual_neighbour",
+    "run_trial",
     "shearer_bound",
     "tau_formula",
     "threshold_assignment",

@@ -31,17 +31,14 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import IO, Callable, Iterable
 
-from .cutsearch import ThresholdRule
 from .intervals import Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
-from .ngraph import binomial_row
+from .ngraph import binomial_row, check_degree, check_tau
 
 HALF = Fraction(1, 2)
 
 
 def _gains(d: int, taus: Iterable[int]) -> list[int]:
-    """(alpha(tau, d) - 1/2) * 4^(d-1) for each tau in [0, d+1], as integers."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    """(alpha(tau, d) - 1/2) * 4^(d-1) for each tau in [0, d+1]; the caller checks d."""
     lead = [0, *binomial_row(d - 1), 0]  # lead[tau] = C(d-1, tau-1)
     prefix = list(accumulate(lead, initial=0))  # prefix[tau] = P(tau-1)
     return [lead[t] * (prefix[t] - prefix[d + 1 - t]) for t in taus]
@@ -52,7 +49,8 @@ def alpha_closed_form(tau: int, d: int) -> Fraction:
 
     An independent reference for `alpha`, which reads `_gains` instead.
     """
-    ThresholdRule(d, tau)  # validates d and tau
+    d = check_degree(d)
+    tau = check_tau(tau, d)
     if 2 * tau <= d:
         raise ValueError(f"closed form requires tau > d/2, got tau={tau}, d={d}")
     lead = math.comb(d - 1, tau - 1) if tau - 1 <= d - 1 else 0
@@ -66,8 +64,8 @@ def alpha(tau: int, d: int) -> Fraction:
     alpha = 1/2 + C(d-1, tau-1) * (P(tau-1) - P(d-tau)) / 4^(d-1) with
     P(k) = sum_{i<k} C(d-1, i), for every tau in [0, d+1].
     """
-    ThresholdRule(d, tau)  # validates d and tau
-    return HALF + Fraction(_gains(d, [tau])[0], 4 ** (d - 1))
+    d = check_degree(d)
+    return HALF + Fraction(_gains(d, [check_tau(tau, d)])[0], 4 ** (d - 1))
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,7 @@ class AlphaValue:
 
 def alpha_sweep(d: int) -> list[AlphaValue]:
     """alpha(tau, d) for every tau in [0, d+1], from one prefix-sum pass."""
+    d = check_degree(d)
     taus = range(d + 2)
     gains = _gains(d, taus)
     scale = 4 ** (d - 1)
@@ -95,8 +94,7 @@ def _optimum(d: int) -> tuple[list[int], Fraction]:
     below the best gain no later tau can reach it; the test is strict, so
     ties are kept.  `_gains` over every tau is the full-scan reference.
     """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    d = check_degree(d)
     n = d - 1
     tau = d // 2 + 1
     c = math.comb(n, tau - 1)
@@ -138,8 +136,7 @@ def tau_formula(d: int) -> int:
 
     Characterised as the smallest integer t with 2t >= d and (2t - d)^2 >= d.
     """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    d = check_degree(d)
     t = (d + math.isqrt(d)) // 2
     while 2 * t < d or (2 * t - d) ** 2 < d:
         t += 1
@@ -187,16 +184,12 @@ class SqrtBound:
 
 def threshold_bound(d: int) -> SqrtBound:
     """Proven guarantee 1/2 + 9/(32 sqrt(d)) for the formula threshold."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    return SqrtBound(Fraction(81, 1024), d)
+    return SqrtBound(Fraction(81, 1024), check_degree(d))
 
 
 def shearer_bound(d: int) -> SqrtBound:
     """Shearer's guarantee 1/2 + sqrt(2)/(8 sqrt(d))."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    return SqrtBound(Fraction(1, 32), d)
+    return SqrtBound(Fraction(1, 32), check_degree(d))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_DMAX = 3000
 DEFAULT_PRECISION_CAP = 4096
 
+# the graph options of simulate and gen-graph, and those each --family reads
+GRAPH_OPTIONS = {"--n": "n", "--d": "d", "--in": "infile"}
+FAMILY_OPTIONS = {
+    "kdd": ("--d",), "cycle": ("--n",), "hypercube": ("--d",), "petersen": (),
+    "bipartite": ("--n", "--d"), "triangle-free": ("--n", "--d"), "file": ("--in",),
+}
+
 
 def _rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -46,8 +53,7 @@ def _parse_degree_range(text: str) -> List[int]:
         lo, hi = int(parts[0]), int(parts[1])
     else:
         raise ValueError(f"expected 'a' or 'a..b', got {text!r}")
-    if lo < 2:
-        raise ValueError(f"degrees start at 2, got {lo}")
+    ngraph.check_degree(lo)
     if hi < lo:
         raise ValueError(f"empty degree range {text!r}")
     return list(range(lo, hi + 1))
@@ -68,14 +74,6 @@ def _seed(text: str) -> int:
     if 0 <= seed <= sim.UINT64_MASK:
         return seed
     raise argparse.ArgumentTypeError(f"seed {seed} is outside 0..2^64-1")
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "entropy", False):
-        seed = secrets.randbits(64)
-        print(f"entropy seed: {seed}", file=sys.stderr)
-        return seed
-    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +193,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _build_graph(args: argparse.Namespace, seed: int) -> sim.RegularGraph:
+def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
+    """The graph `--family` names, and the run's seed.
+
+    `--n`, `--d` or `--in` given to a family that does not read it, or left
+    out by one that does, is a usage error.
+    """
     family = args.family
+    reads = FAMILY_OPTIONS[family]
+    given = [flag for flag, dest in GRAPH_OPTIONS.items() if getattr(args, dest, None) is not None]
+    stray = [flag for flag in given if flag not in reads]
+    if stray:
+        raise ValueError(f"{stray[0]} does not apply to --family {family}")
+    missing = [flag for flag in reads if flag not in given]
+    if missing:
+        raise ValueError(f"family {family} needs {' and '.join(missing)}")
+    seed = args.seed
+    if args.entropy:
+        seed = secrets.randbits(64)
+        print(f"entropy seed: {seed}", file=sys.stderr)
     if family == "bipartite":
-        if args.n is None or args.d is None:
-            raise ValueError("family bipartite needs --n (per side) and --d")
-        return sim.random_bipartite_regular(args.n, args.d, seed)
+        return sim.random_bipartite_regular(args.n, args.d, seed), seed
     if family == "triangle-free":
-        if args.n is None or args.d is None:
-            raise ValueError("family triangle-free needs --n and --d")
-        return sim.random_triangle_free(args.n, args.d, seed)
+        return sim.random_triangle_free(args.n, args.d, seed), seed
     if family == "file":
-        if args.infile is None:
-            raise ValueError("family file needs --in <edge list path>")
         with open(args.infile) as fh:
-            return sim.read_edge_list(fh)
-    return sim.gen_fixed(family, d=args.d, n=args.n)
+            return sim.read_edge_list(fh), seed
+    return sim.gen_fixed(family, d=args.d, n=args.n), seed
 
 
 def _build_algorithm(args: argparse.Namespace, g: sim.RegularGraph):
@@ -232,8 +241,7 @@ def _build_algorithm(args: argparse.Namespace, g: sim.RegularGraph):
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.tau is not None and args.alg in ("uniform", "shearer"):
         raise ValueError(f"--tau does not apply to --alg {args.alg}")
-    seed = _resolve_seed(args)
-    g = _build_graph(args, seed)
+    g, seed = _build_graph(args)
     alg = _build_algorithm(args, g)
     stats = sim.monte_carlo(g, alg, args.trials, seed, per_edge=args.per_edge)
     with _output(args.out) as fh:
@@ -261,8 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_graph(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    g = _build_graph(args, seed)
+    g, _ = _build_graph(args)
     with _output(args.out) as fh:
         sim.write_edge_list(fh, g)
     return 0
@@ -292,13 +299,14 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
 
     def add_seed(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
+        group = p.add_mutually_exclusive_group()  # --seed with --entropy is a usage error
+        group.add_argument(
             "--seed",
             type=_seed,
             default=DEFAULT_SEED,
             help=f"master seed in 0..2^64-1 (default {DEFAULT_SEED:#x})",
         )
-        p.add_argument(
+        group.add_argument(
             "--entropy",
             action="store_true",
             help="draw the seed from OS entropy and print it to stderr",
@@ -372,14 +380,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="Monte Carlo run of a one-round algorithm on a graph"
     )
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=(
-            "kdd", "cycle", "hypercube", "petersen",
-            "bipartite", "triangle-free", "file",
-        ),
-    )
+    p.add_argument("--family", required=True, choices=tuple(FAMILY_OPTIONS))
     p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
     p.add_argument("--n", type=int, help="size parameter where the family needs it")
     p.add_argument("--in", dest="infile", metavar="PATH", help="edge list for --family file")
@@ -406,13 +407,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-graph", help="generate a graph and emit its edge list")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=(
-            "kdd", "cycle", "hypercube", "petersen", "bipartite", "triangle-free",
-        ),
-    )
+    p.add_argument("--family", required=True, choices=[f for f in FAMILY_OPTIONS if f != "file"])
     p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
     p.add_argument("--n", type=int, help="size parameter where the family needs it")
     add_seed(p)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
-from .ngraph import Neighbourhood, WeightedNgraph, all_neighbourhoods, complement_side
+from .ngraph import (
+    Neighbourhood, WeightedNgraph, all_neighbourhoods, check_degree, check_tau, complement_side,
+)
 
 #: Cut assignments map every node of the neighbourhood graph to 'a' or 'b'.
 CutAssignment = Dict[Neighbourhood, str]
@@ -37,13 +39,9 @@ class ThresholdRule:
     degree: int
     tau: int
 
-    def __post_init__(self) -> None:
-        if self.degree < 2:
-            raise ValueError(f"degree must be >= 2, got {self.degree}")
-        if not 0 <= self.tau <= self.degree + 1:
-            raise ValueError(
-                f"tau must be in [0, {self.degree + 1}], got {self.tau}"
-            )
+    def __post_init__(self) -> None:  # hold both as checked Python ints
+        object.__setattr__(self, "degree", check_degree(self.degree))
+        object.__setattr__(self, "tau", check_tau(self.tau, self.degree))
 
 
 def threshold_assignment(rule: ThresholdRule) -> CutAssignment:

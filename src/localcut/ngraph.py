@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -46,13 +47,32 @@ def complement_side(side: str) -> str:
 
 def all_neighbourhoods(d: int) -> list[Neighbourhood]:
     """All 2d + 2 neighbourhoods in canonical order (a,0)..(a,d),(b,0)..(b,d)."""
-    _check_degree(d)
+    d = check_degree(d)
     return [Neighbourhood(k, i) for k in SIDES for i in range(d + 1)]
 
 
-def _check_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"degree must be an integer >= 2, got {d!r}")
+def _integer_in(x, lo: int, hi: float, what: str) -> int:
+    """`x` as a Python int if it is an integer (`operator.index`) in [lo, hi].
+
+    Otherwise a ValueError whose message is `what`, with `{hi}` filled in.
+    """
+    try:
+        k = operator.index(x)
+    except TypeError:
+        k = None
+    if k is None or not lo <= k <= hi:
+        raise ValueError(f"{what.format(hi=hi)}, got {x!r}")
+    return k
+
+
+def check_degree(d: int) -> int:
+    """The degree as a Python int: any integer >= 2, numpy's included."""
+    return _integer_in(d, 2, math.inf, "degree must be an integer >= 2")
+
+
+def check_tau(tau: int, d: int) -> int:
+    """The threshold as a Python int: any integer in [0, d + 1] for degree d."""
+    return _integer_in(tau, 0, d + 1, "tau must be in [0, {hi}]")
 
 
 def _check_neighbourhood(d: int, n: Neighbourhood) -> None:
@@ -114,7 +134,7 @@ class WeightedNgraph:
 
 def build_ngraph(d: int) -> WeightedNgraph:
     """The (2d+2)-node weighted neighbourhood graph for degree d."""
-    _check_degree(d)
+    d = check_degree(d)
     row = tuple(binomial_row(d - 1))
     return WeightedNgraph(degree=d, cross=row + (0,), same=(0,) + row)
 
@@ -202,8 +222,7 @@ def parse_ngraph_table(text: str) -> WeightedNgraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("d="):
         raise ValueError("missing 'd=<d>' header line")
-    d = int(lines[0][2:])
-    _check_degree(d)
+    d = check_degree(int(lines[0][2:]))
     expected = (2 * d + 2) ** 2
     if len(lines) - 1 < expected:
         raise ValueError(f"expected {expected} weight lines, got {len(lines) - 1}")

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
-from .ngraph import Neighbourhood, all_neighbourhoods
+from .ngraph import Neighbourhood, all_neighbourhoods, check_tau
 
 logger = logging.getLogger(__name__)
 
@@ -173,6 +173,29 @@ def gen_fixed(family: str, *, d: Optional[int] = None, n: Optional[int] = None) 
     return build(arg)
 
 
+def _first_strict(
+    draw: Callable[[], np.ndarray], n: int, d: int, max_attempts: int, params: str
+) -> RegularGraph:
+    """The first strict `from_edges(n, d, draw())` within max_attempts draws.
+
+    A `ValueError` from `from_edges` (a self-loop, a repeated edge) rejects a
+    draw, as a triangle does. The INFO record's first argument is the attempt
+    count; `params` names the generator's inputs there and on exhaustion.
+    """
+    for attempt in range(1, max_attempts + 1):
+        try:
+            g = from_edges(n, d, draw())
+        except ValueError:
+            continue
+        if g.is_strict:
+            logger.info("accepted after %d attempt(s) (%s)", attempt, params)
+            return g
+    raise RuntimeError(
+        f"rejection budget exhausted after {max_attempts} attempts ({params}); "
+        "parameters too tight"
+    )
+
+
 def random_bipartite_regular(
     n_per_side: int, d: int, seed: int, max_attempts: int = REJECTION_BUDGET
 ) -> RegularGraph:
@@ -188,21 +211,13 @@ def random_bipartite_regular(
         raise ValueError("need n_per_side >= d for d disjoint matchings")
     rng = np.random.default_rng(seed)
     left = np.tile(np.arange(n_per_side), d)
-    for attempt in range(1, max_attempts + 1):
+
+    def draw() -> np.ndarray:
         right = np.concatenate([rng.permutation(n_per_side) for _ in range(d)]) + n_per_side
-        try:
-            g = from_edges(2 * n_per_side, d, np.stack([left, right], axis=1))
-        except ValueError:  # two matchings share an edge
-            continue
-        logger.info(
-            "bipartite generator accepted after %d attempt(s) (n_per_side=%d, d=%d)",
-            attempt, n_per_side, d,
-        )
-        return g
-    raise RuntimeError(
-        f"rejection budget exhausted after {max_attempts} attempts "
-        f"(n_per_side={n_per_side}, d={d}); parameters too tight"
-    )
+        return np.stack([left, right], axis=1)
+
+    params = f"bipartite, n_per_side={n_per_side}, d={d}"
+    return _first_strict(draw, 2 * n_per_side, d, max_attempts, params)
 
 
 def random_triangle_free(
@@ -222,20 +237,9 @@ def random_triangle_free(
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for attempt in range(1, max_attempts + 1):
-        try:
-            g = from_edges(n, d, rng.permutation(stubs).reshape(-1, 2))
-        except ValueError:  # a self-loop or a parallel edge
-            continue
-        if g.is_strict:
-            logger.info(
-                "configuration model accepted after %d attempt(s) (n=%d, d=%d)",
-                attempt, n, d,
-            )
-            return g
-    raise RuntimeError(
-        f"rejection budget exhausted after {max_attempts} attempts "
-        f"(n={n}, d={d}); parameters too tight for triangle-free sampling"
+    return _first_strict(
+        lambda: rng.permutation(stubs).reshape(-1, 2), n, d, max_attempts,
+        f"triangle-free, n={n}, d={d}",
     )
 
 
@@ -384,6 +388,8 @@ def cut_fraction(g: RegularGraph, labels: NodeLabels) -> Fraction:
     for v in range(g.node_count):
         if labels.get(v) not in LABEL_FOR_BIT:
             raise ValueError(f"node {v} is missing a valid side label")
+    if not g.edge_count:
+        raise ValueError("graph has no edges to measure")
     cut = sum(labels[u] != labels[v] for u, v in g.edges.tolist())
     return Fraction(cut, g.edge_count)
 
@@ -392,19 +398,14 @@ def _require_strict(g: RegularGraph, rule: str) -> None:
     if not g.is_regular:
         raise ValueError(
             f"{rule} needs an exactly {g.degree}-regular graph; "
-            "wrap irregular graphs with run_virtual_neighbour"
+            "run irregular graphs with VirtualNeighbourCut (--alg virtual)"
         )
     if g.triangle.any():
         raise ValueError(
             f"{rule} carries its guarantee only on triangle-free graphs; "
             f"{np.count_nonzero(g.triangle)} edge(s) lie in triangles "
-            "(use run_virtual_neighbour to run regardless)"
+            "(VirtualNeighbourCut, --alg virtual, runs regardless)"
         )
-
-
-def _check_tau(tau: int, d: int) -> None:
-    if not 0 <= tau <= d + 1:
-        raise ValueError(f"tau must be in [0, {d + 1}], got {tau}")
 
 
 def _padded_matrix(g: RegularGraph) -> Tuple[np.ndarray, int]:
@@ -415,30 +416,18 @@ def _padded_matrix(g: RegularGraph) -> Tuple[np.ndarray, int]:
     return padded, int(np.count_nonzero(slots))
 
 
-def _one_trial(g: RegularGraph, alg: AlgorithmSpec, seed: int) -> NodeLabels:
-    """Trial 0 of the seed's stream, run as a block of one."""
+def run_trial(g: RegularGraph, alg: AlgorithmSpec, seed: int) -> NodeLabels:
+    """One trial, trial index 0 of the seed's stream, as node labels.
+
+    The one-trial sibling of `monte_carlo(g, alg, trials, seed)`, drawing
+    what its trial 0 draws. `ShearerCut` draws c1, c2, c3 in that order.
+    `VirtualNeighbourCut` gives each node of degree d' <= d its own bit plus
+    d - d' virtual-neighbour bits and counts agreement over real and virtual
+    neighbours together: own bits come first (node order), then the virtual
+    bits (node order).
+    """
     sizes, rule = _block_rule(g, alg)
     return labels_from_bits(rule(*philox_bits(seed, 0, 1, sizes))[:, 0])
-
-
-def run_threshold(g: RegularGraph, tau: int, seed: int) -> NodeLabels:
-    """One trial of the threshold rule; trial index 0 of the seed's stream."""
-    return _one_trial(g, ThresholdCut(tau), seed)
-
-
-def run_shearer(g: RegularGraph, seed: int) -> NodeLabels:
-    """One trial of the three-cut rule: c1, c2, c3 drawn in that order."""
-    return _one_trial(g, ShearerCut(), seed)
-
-
-def run_virtual_neighbour(g: RegularGraph, tau: int, seed: int) -> NodeLabels:
-    """Threshold rule on a graph of declared degree d via simulated neighbours.
-
-    Each node of degree d' <= d draws its own bit plus d - d' virtual-neighbour
-    bits and counts agreement over real and virtual neighbours together.
-    Own bits come first (node order), then the virtual bits (node order).
-    """
-    return _one_trial(g, VirtualNeighbourCut(tau), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +490,12 @@ def _block_rule(g: RegularGraph, alg: AlgorithmSpec):
         _require_strict(g, type(alg).__name__)
         if isinstance(alg, ShearerCut):
             return (n, n, n), lambda *cuts: apply_shearer_rule(g.nbr, *cuts)
-        _check_tau(alg.tau, g.degree)
-        return (n,), lambda c1: apply_threshold_rule(g.nbr, c1, alg.tau)
+        tau = check_tau(alg.tau, g.degree)
+        return (n,), lambda c1: apply_threshold_rule(g.nbr, c1, tau)
     if isinstance(alg, VirtualNeighbourCut):
-        _check_tau(alg.tau, g.degree)
+        tau = check_tau(alg.tau, g.degree)
         padded, virtual_total = _padded_matrix(g)
-        return (n, virtual_total), lambda *bits: apply_virtual_rule(padded, *bits, alg.tau)
+        return (n, virtual_total), lambda *bits: apply_virtual_rule(padded, *bits, tau)
     raise ValueError(f"unknown algorithm spec {alg!r}")
 
 

@@ -397,6 +397,72 @@ def test_seed_outside_64_bits_is_a_usage_error(capsys, seed):
                "--seed", str(2**64 - 1))[0] == 0
 
 
+# what each --family reads, with values that build a graph
+FAMILY_ARGS = {
+    "kdd": ["--d", "3"],
+    "cycle": ["--n", "6"],
+    "hypercube": ["--d", "3"],
+    "petersen": [],
+    "bipartite": ["--n", "10", "--d", "3"],
+    "triangle-free": ["--n", "20", "--d", "3"],
+    "file": ["--in", "star.txt"],
+}
+STRAY = {"--n": "6", "--d": "3", "--in": "star.txt"}
+
+
+@pytest.fixture
+def in_star_dir(tmp_path, monkeypatch):
+    (tmp_path / "star.txt").write_text("4 3 3\n0 1\n0 2\n0 3\n")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "family,option",
+    [(f, o) for f, given in FAMILY_ARGS.items() for o in STRAY if o not in given],
+)
+def test_an_option_the_family_does_not_read_is_a_usage_error(capsys, in_star_dir, family, option):
+    argv = ["--family", family, *FAMILY_ARGS[family]]
+    runs = [["simulate", *argv, "--alg", "virtual", "--trials", "10"]]
+    if family != "file" and option != "--in":
+        runs.append(["gen-graph", *argv])
+    for cmd in runs:
+        code, out, err = run(capsys, *cmd, option, STRAY[option])
+        assert code == 2 and out == ""
+        assert f"{option} does not apply to --family {family}" in err
+        assert run(capsys, *cmd)[0] == 0  # and without it the command runs
+
+
+@pytest.mark.parametrize(
+    "family,option", [(f, o) for f, given in FAMILY_ARGS.items() for o in given[::2]]
+)
+def test_an_option_the_family_reads_is_required(capsys, in_star_dir, family, option):
+    given = FAMILY_ARGS[family]
+    i = given.index(option)
+    code, out, err = run(
+        capsys, "simulate", "--family", family, *given[:i], *given[i + 2:],
+        "--alg", "uniform", "--trials", "10",
+    )
+    assert code == 2 and out == ""
+    assert f"family {family} needs {option}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--family", "kdd", "--d", "3", "--alg", "uniform", "--trials", "10"],
+        ["gen-graph", "--family", "kdd", "--d", "3"],
+    ],
+)
+def test_seed_with_entropy_is_a_usage_error(capsys, argv):
+    for extra in (["--seed", "5", "--entropy"], ["--entropy", "--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+        assert "entropy seed" not in captured.err
+
+
 def test_simulate_budget_exhaustion_is_exit_1(capsys, monkeypatch):
     def exhausted(*a, **k):
         raise RuntimeError("rejection budget exhausted (stub)")

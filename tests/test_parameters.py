@@ -1,0 +1,121 @@
+"""The degree/tau contract of the threshold rule, checked at every entry point.
+
+Degrees are integers >= 2 and taus integers in [0, d + 1]. Any integer type
+passes, numpy's included, and is computed with as a Python int; anything
+else (a float, even an integral one, a fraction, a string) is a ValueError.
+"""
+
+from __future__ import annotations
+
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from localcut.analysis import (
+    alpha,
+    alpha_closed_form,
+    alpha_sweep,
+    optimal_tau,
+    optimal_taus,
+    shearer_bound,
+    tau_formula,
+    threshold_bound,
+)
+from localcut.cutsearch import ThresholdRule, threshold_assignment
+from localcut.ngraph import all_neighbourhoods, build_ngraph, check_degree, check_tau
+from localcut.sim import (
+    ThresholdCut,
+    VirtualNeighbourCut,
+    complete_bipartite,
+    from_edges,
+    monte_carlo,
+    run_trial,
+)
+
+NUMPY_INTS = (np.int64, np.int32, np.uint16, np.intp)
+
+
+@pytest.mark.parametrize("kind", NUMPY_INTS)
+def test_checks_return_python_ints(kind):
+    assert type(check_degree(kind(5))) is int and check_degree(kind(5)) == 5
+    assert type(check_tau(kind(6), 5)) is int and check_tau(kind(6), 5) == 6
+    assert check_tau(kind(0), 5) == 0
+
+
+@pytest.mark.parametrize("bad", [1, 0, -3, 2.0, 3.5, Fraction(3), "3", None, np.float64(3)])
+def test_check_degree_rejects_non_degrees(bad):
+    with pytest.raises(ValueError, match=r"^degree must be an integer >= 2, got "):
+        check_degree(bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 2.0, 2.5, Fraction(5, 2), "2", None, np.float64(2)])
+def test_check_tau_rejects_non_taus(bad):
+    with pytest.raises(ValueError, match=r"^tau must be in \[0, 5\], got "):
+        check_tau(bad, 4)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_integer_degrees_and_taus_match_python_ints(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warns before it misleads
+        for d in range(2, 41):
+            nd = kind(d)
+            assert build_ngraph(nd) == build_ngraph(d)
+            assert type(build_ngraph(nd).degree) is int
+            assert all_neighbourhoods(nd) == all_neighbourhoods(d)
+            assert alpha_sweep(nd) == alpha_sweep(d)
+            assert optimal_tau(nd) == optimal_tau(d)
+            assert optimal_taus(nd) == optimal_taus(d)
+            assert tau_formula(nd) == tau_formula(d)
+            assert threshold_bound(nd) == threshold_bound(d)
+            assert type(threshold_bound(nd).degree) is int
+            assert shearer_bound(nd) == shearer_bound(d)
+            assert threshold_bound(nd).to_float() == threshold_bound(d).to_float()
+            for tau in (0, d // 2 + 1, d + 1):
+                nt = kind(tau)
+                assert alpha(nt, nd) == alpha(tau, d)
+                rule = ThresholdRule(nd, nt)
+                assert (type(rule.degree), type(rule.tau)) == (int, int)
+                assert rule == ThresholdRule(d, tau)
+                assert threshold_assignment(rule) == threshold_assignment(ThresholdRule(d, tau))
+            assert alpha_closed_form(kind(d), nd) == alpha_closed_form(d, d)
+
+
+def _entry_points():
+    g = complete_bipartite(3)
+    star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
+    calls = {
+        "build_ngraph": lambda x: build_ngraph(x),
+        "all_neighbourhoods": lambda x: all_neighbourhoods(x),
+        "alpha(d)": lambda x: alpha(2, x),
+        "alpha_closed_form(d)": lambda x: alpha_closed_form(3, x),
+        "alpha_sweep": lambda x: alpha_sweep(x),
+        "optimal_tau": lambda x: optimal_tau(x),
+        "optimal_taus": lambda x: optimal_taus(x),
+        "tau_formula": lambda x: tau_formula(x),
+        "threshold_bound": lambda x: threshold_bound(x),
+        "shearer_bound": lambda x: shearer_bound(x),
+        "ThresholdRule(d)": lambda x: ThresholdRule(x, 2),
+        "alpha(tau)": lambda x: alpha(x, 3),
+        "alpha_closed_form(tau)": lambda x: alpha_closed_form(x, 3),
+        "ThresholdRule(tau)": lambda x: ThresholdRule(3, x),
+        "run_trial(ThresholdCut)": lambda x: run_trial(g, ThresholdCut(x), 0),
+        "run_trial(VirtualNeighbourCut)": lambda x: run_trial(star, VirtualNeighbourCut(x), 0),
+        "monte_carlo(ThresholdCut)": lambda x: monte_carlo(g, ThresholdCut(x), 10, 0),
+        "monte_carlo(VirtualNeighbourCut)": lambda x: monte_carlo(
+            star, VirtualNeighbourCut(x), 10, 0
+        ),
+    }
+    return list(calls.items())
+
+
+@pytest.mark.parametrize("name,call", _entry_points(), ids=[n for n, _ in _entry_points()])
+@pytest.mark.parametrize(
+    "bad", [2.5, 3.0, Fraction(5, 2), np.float64(3.0)], ids=["2.5", "3.0", "5/2", "np3.0"]
+)
+def test_floats_and_fractions_raise_at_every_entry_point(name, call, bad):
+    call(3)  # an integer in range passes
+    with pytest.raises(ValueError, match="must be"):
+        call(bad)

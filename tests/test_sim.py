@@ -38,9 +38,7 @@ from localcut.sim import (
     random_bipartite_regular,
     random_triangle_free,
     read_edge_list,
-    run_shearer,
-    run_threshold,
-    run_virtual_neighbour,
+    run_trial,
     trial_stats_jsonable,
     write_edge_list,
     write_trial_stats_csv,
@@ -311,6 +309,30 @@ def test_random_triangle_free_logs_acceptance(caplog):
     assert any("accepted after" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize(
+    "generate,args", [(random_triangle_free, (20, 3, 7)), (random_bipartite_regular, (2, 2, 0))]
+)
+def test_generators_log_the_attempt_count_first(caplog, generate, args):
+    # the benchmark's listener reads the count from record.args[0]
+    with caplog.at_level("INFO", logger="localcut.sim"):
+        generate(*args)
+    (rec,) = [r for r in caplog.records if "attempt" in r.msg]
+    assert type(rec.args[0]) is int and rec.args[0] >= 1
+    assert f"accepted after {rec.args[0]} attempt(s)" in rec.getMessage()
+
+
+@pytest.mark.parametrize(
+    "generate,args,params",
+    [
+        (random_triangle_free, (6, 4, 0), "n=6, d=4"),
+        (random_bipartite_regular, (2, 2, 0), "n_per_side=2, d=2"),
+    ],
+)
+def test_generators_name_their_parameters_when_the_budget_runs_out(generate, args, params):
+    with pytest.raises(RuntimeError, match=f"budget exhausted after 1 attempts .*{params}"):
+        generate(*args, max_attempts=1)
+
+
 def test_random_triangle_free_errors():
     with pytest.raises(ValueError, match="even"):
         random_triangle_free(5, 3, seed=0)
@@ -347,8 +369,8 @@ def test_threshold_extreme_taus_reduce_to_the_base_cut():
     rng = make_trial_rng(11, 0)
     c1 = draw_bits(rng, g.node_count)
     base = labels_from_bits(c1)
-    keep = run_threshold(g, 4, seed=11)  # tau = d + 1: nobody flips
-    flip = run_threshold(g, 0, seed=11)  # tau = 0: everybody flips
+    keep = run_trial(g, ThresholdCut(4), seed=11)  # tau = d + 1: nobody flips
+    flip = run_trial(g, ThresholdCut(0), seed=11)  # tau = 0: everybody flips
     assert keep == base
     assert flip == {v: "b" if s == "a" else "a" for v, s in base.items()}
     assert cut_fraction(g, keep) == cut_fraction(g, flip)
@@ -357,13 +379,13 @@ def test_threshold_extreme_taus_reduce_to_the_base_cut():
 def test_runner_validation():
     g = complete_bipartite(3)
     with pytest.raises(ValueError, match="tau must be in"):
-        run_threshold(g, 5, seed=0)
-    with pytest.raises(ValueError, match="run_virtual_neighbour"):
-        run_threshold(from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]), 3, seed=0)
+        run_trial(g, ThresholdCut(5), seed=0)
+    with pytest.raises(ValueError, match="VirtualNeighbourCut"):
+        run_trial(from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]), ThresholdCut(3), seed=0)
     with pytest.raises(ValueError, match="triangle"):
-        run_shearer(from_edges(3, 2, [(0, 1), (1, 2), (0, 2)]), seed=0)
+        run_trial(from_edges(3, 2, [(0, 1), (1, 2), (0, 2)]), ShearerCut(), seed=0)
     with pytest.raises(ValueError, match="tau must be in"):
-        run_virtual_neighbour(complete_bipartite(3), 5, seed=0)
+        run_trial(complete_bipartite(3), VirtualNeighbourCut(5), seed=0)
 
 
 def test_shearer_ignores_c3_for_odd_degree():
@@ -428,7 +450,7 @@ def test_virtual_locality_and_padding():
 def test_virtual_equals_threshold_on_regular_graphs():
     g = complete_bipartite(3)
     for seed in (0, 1, 2, 3):
-        assert run_virtual_neighbour(g, 3, seed) == run_threshold(g, 3, seed)
+        assert run_trial(g, VirtualNeighbourCut(3), seed) == run_trial(g, ThresholdCut(3), seed)
 
 
 def test_randomness_budget(monkeypatch):
@@ -444,14 +466,14 @@ def test_randomness_budget(monkeypatch):
 
     monkeypatch.setattr(sim, "philox_bits", counting)
     g = petersen_graph()
-    run_threshold(g, 3, seed=0)
+    run_trial(g, ThresholdCut(3), seed=0)
     assert calls == [[(10, 1)]]  # one bit per node
     calls.clear()
-    run_shearer(g, seed=0)
+    run_trial(g, ShearerCut(), seed=0)
     assert calls == [[(10, 1), (10, 1), (10, 1)]]  # three cuts
     calls.clear()
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    run_virtual_neighbour(star, 3, seed=0)
+    run_trial(star, VirtualNeighbourCut(3), seed=0)
     assert calls == [[(4, 1), (6, 1)]]  # one own bit per node, then 2 virtual bits per leaf
     calls.clear()
     monte_carlo(g, UniformCut(), trials=3, seed=0)
@@ -666,6 +688,11 @@ def test_monte_carlo_validation():
         monte_carlo(g, object(), trials=1, seed=0)
     with pytest.raises(ValueError, match="no edges"):
         monte_carlo(from_edges(2, 1, []), UniformCut(), trials=1, seed=0)
+
+
+def test_cut_fraction_of_an_edgeless_graph_is_an_error():
+    with pytest.raises(ValueError, match="graph has no edges"):
+        cut_fraction(from_edges(1, 1, []), {0: "a"})
 
 
 # ---------------------------------------------------------------------------
