@@ -32,7 +32,7 @@ from itertools import accumulate
 from typing import IO, Callable, Iterable
 
 from .intervals import Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
-from .ngraph import binomial_row, check_degree, check_tau
+from .ngraph import binomial_row, check_degree, check_integer, check_tau
 
 HALF = Fraction(1, 2)
 
@@ -236,8 +236,7 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
     The term-by-term walk of each window is the reference.  Each check keeps
     the integer N; its `alpha` Fraction is built only when read.
     """
-    if d_max < 2:
-        raise ValueError(f"d_max must be >= 2, got {d_max}")
+    d_max = check_integer(d_max, 2, math.inf, "d_max must be an integer >= 2")
     checks = []
     tau = 2  # tau_formula(2); the window at d = 2 is [1, 1] on row 1
     lo = hi = 1

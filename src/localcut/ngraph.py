@@ -51,13 +51,14 @@ def all_neighbourhoods(d: int) -> list[Neighbourhood]:
     return [Neighbourhood(k, i) for k in SIDES for i in range(d + 1)]
 
 
-def _integer_in(x, lo: int, hi: float, what: str) -> int:
+def check_integer(x, lo: int, hi: float, what: str) -> int:
     """`x` as a Python int if it is an integer (`operator.index`) in [lo, hi].
 
-    Otherwise a ValueError whose message is `what`, with `{hi}` filled in.
+    Bools are not integers here. Otherwise a ValueError whose message is
+    `what`, with `{hi}` filled in.
     """
     try:
-        k = operator.index(x)
+        k = None if isinstance(x, bool) else operator.index(x)
     except TypeError:
         k = None
     if k is None or not lo <= k <= hi:
@@ -67,12 +68,12 @@ def _integer_in(x, lo: int, hi: float, what: str) -> int:
 
 def check_degree(d: int) -> int:
     """The degree as a Python int: any integer >= 2, numpy's included."""
-    return _integer_in(d, 2, math.inf, "degree must be an integer >= 2")
+    return check_integer(d, 2, math.inf, "degree must be an integer >= 2")
 
 
 def check_tau(tau: int, d: int) -> int:
     """The threshold as a Python int: any integer in [0, d + 1] for degree d."""
-    return _integer_in(tau, 0, d + 1, "tau must be in [0, {hi}]")
+    return check_integer(tau, 0, d + 1, "tau must be in [0, {hi}]")
 
 
 def _check_neighbourhood(d: int, n: Neighbourhood) -> None:

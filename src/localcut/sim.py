@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,7 +24,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, T
 
 import numpy as np
 
-from .ngraph import Neighbourhood, all_neighbourhoods, check_tau
+from .ngraph import Neighbourhood, all_neighbourhoods, check_integer, check_tau
 
 logger = logging.getLogger(__name__)
 
@@ -86,14 +87,14 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
 
     Raises `TypeError` for an endpoint that is not an integer (a float, bool,
     string or other object), which a cast would truncate or coerce. Rejects
-    out-of-range endpoints, the first self-loop or repeated edge (both
-    repeat a half-edge), then nodes above the degree bound. Sorted half-edges
-    fill `nbr`; binary search for (v, w), w a neighbour of u, flags (u, v) in a triangle.
+    out-of-range endpoints, then the first self-loop or repeated edge in
+    input order (one sort of the m keys min(u, v) * n + max(u, v) finds
+    both, before anything is built), then nodes above the degree bound.
+    Sorted half-edges fill `nbr`; binary search for (u, w), w a neighbour of
+    v, flags (u, v) in a triangle.
     """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    node_count = check_integer(node_count, 1, math.inf, "node_count must be an integer >= 1")
+    degree = check_integer(degree, 1, math.inf, "degree must be an integer >= 1")
     e = np.asarray(edges)
     if e.size and e.dtype.kind not in "iu":
         raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.dtype} values")
@@ -103,51 +104,59 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
         if any(issubclass(t, (bool, np.bool_)) for t in kinds):
             raise TypeError("edge endpoints must be integers that fit in int64, got bool values")
     e = e.astype(np.intp, copy=False).reshape(-1, 2)
-    outside = ((e < 0) | (e >= node_count)).any(axis=1)
+    outside = (e < 0) | (e >= node_count)
     if outside.any():
-        u, v = e[outside][0]
+        u, v = e[outside.any(axis=1)][0]
         raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-    half = np.stack([e, e[:, ::-1]], axis=1).reshape(-1, 2)  # edge i at rows 2i, 2i + 1
-    order = np.argsort(half[:, 0] * node_count + half[:, 1])
-    tail, head = half[order].T
-    keys = tail * node_count + head
-    if (keys[1:] == keys[:-1]).any():
-        # the sort may shuffle the copies of a half-edge: in each run of equal
-        # keys the copy earliest in input order is the original, the rest repeat it
-        starts = np.r_[True, keys[1:] != keys[:-1]]
-        first = np.minimum.reduceat(order, np.flatnonzero(starts))
-        again = order[order != first[np.cumsum(starts) - 1]] // 2
-        u, v = e[again.min()]
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    keys = lo * node_count + hi
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    loop = lo == hi
+    if len(repeated) or loop.any():
+        u, v = e[_first_repeat(keys, repeated, loop)]
         raise ValueError(f"self-loop at node {u}" if u == v else f"duplicate edge ({u}, {v})")
+    keys = np.concatenate([keys, hi * node_count + lo])  # the half-edges (tail, head)
+    keys.sort()
+    tail, head = np.divmod(keys, node_count)
     deg = np.bincount(tail, minlength=node_count)
     if deg.max() > degree:
         u = (deg > degree).argmax()
         raise ValueError(f"node {u} has degree {deg[u]}, above the declared bound {degree}")
     nbr = np.full((node_count, degree), -1, dtype=np.intp)
     nbr[tail, np.arange(len(tail)) - (np.cumsum(deg) - deg)[tail]] = head
-    w = nbr[tail[tail < head]]  # for each edge (u, v), u < v, in order: u's neighbours
-    probe = head[tail < head, None] * node_count + w  # the keys of (v, w)
+    w = nbr[head[tail < head]]  # for each edge (u, v), u < v, in order: v's neighbours
+    probe = tail[tail < head, None] * node_count + w  # the keys of (u, w), in u order
     at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
     return RegularGraph(node_count, degree, nbr, ((keys[at] == probe) & (w >= 0)).any(axis=1))
 
 
+def _first_repeat(keys: np.ndarray, repeated: np.ndarray, loop: np.ndarray) -> int:
+    """Index of the first edge that is a self-loop or repeats an earlier edge's key."""
+    first = int(loop.argmax()) if loop.any() else len(keys)
+    at = np.flatnonzero(np.isin(keys[:first], repeated))
+    seen = set()
+    for i, k in zip(at.tolist(), keys[at].tolist()):
+        if k in seen:
+            return i
+        seen.add(k)
+    return first
+
+
 def complete_bipartite(d: int) -> RegularGraph:
     """K_{d,d}: nodes 0..d-1 on one side, d..2d-1 on the other."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = check_integer(d, 1, math.inf, "d must be an integer >= 1")
     return from_edges(2 * d, d, [(u, d + v) for u in range(d) for v in range(d)])
 
 
 def cycle_graph(n: int) -> RegularGraph:
-    if n < 4:
-        raise ValueError("cycle needs n >= 4 to be triangle-free")
+    n = check_integer(n, 4, math.inf, "cycle needs an integer n >= 4 to be triangle-free")
     return from_edges(n, 2, [(i, (i + 1) % n) for i in range(n)])
 
 
 def hypercube_graph(k: int) -> RegularGraph:
     """k-dimensional hypercube: 2^k nodes, k-regular, bipartite."""
-    if k < 1:
-        raise ValueError("dimension must be >= 1")
+    k = check_integer(k, 1, math.inf, "dimension must be an integer >= 1")
     edges = [(x, x | 1 << b) for x in range(1 << k) for b in range(k) if not x >> b & 1]
     return from_edges(1 << k, k, edges)
 
@@ -179,8 +188,10 @@ def _first_strict(
     """The first strict `from_edges(n, d, draw())` within max_attempts draws.
 
     A `ValueError` from `from_edges` (a self-loop, a repeated edge) rejects a
-    draw, as a triangle does. The INFO record's first argument is the attempt
-    count; `params` names the generator's inputs there and on exhaustion.
+    draw, as a triangle does; `from_edges` finds those by one sort of the
+    draw's edge keys, before it builds anything. The INFO record's first
+    argument is the attempt count; `params` names the generator's inputs
+    there and on exhaustion.
     """
     for attempt in range(1, max_attempts + 1):
         try:
@@ -205,10 +216,10 @@ def random_bipartite_regular(
     hence triangle-free; strict mode by construction. Raises after max_attempts
     rejections, which signals parameters too tight (n_per_side close to d).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n_per_side < d:
-        raise ValueError("need n_per_side >= d for d disjoint matchings")
+    d = check_integer(d, 1, math.inf, "d must be an integer >= 1")
+    n_per_side = check_integer(
+        n_per_side, d, math.inf, "need an integer n_per_side >= d for d disjoint matchings"
+    )
     rng = np.random.default_rng(seed)
     left = np.tile(np.arange(n_per_side), d)
 
@@ -229,10 +240,8 @@ def random_triangle_free(
     (self-loops, parallel edges) or flags a triangle in, so accepted graphs
     are uniform over strict-mode instances reachable by the model. n*d even.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n <= d:
-        raise ValueError("need n > d for a simple d-regular graph")
+    d = check_integer(d, 1, math.inf, "d must be an integer >= 1")
+    n = check_integer(n, d + 1, math.inf, "need an integer n > d for a simple d-regular graph")
     if n * d % 2:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
@@ -243,14 +252,28 @@ def random_triangle_free(
     )
 
 
+# Edge-list lines per chunk in write_edge_list and read_edge_list: the text
+# and tokens of a large graph never sit in memory all at once.
+EDGE_CHUNK = 1 << 10
+
+
 def write_edge_list(fh: TextIO, g: RegularGraph) -> None:
     """Plain text format: `n m d` header, then one `u v` line per edge."""
     fh.write(f"{g.node_count} {g.edge_count} {g.degree}\n")
-    fh.writelines(f"{u} {v}\n" for u, v in g.edges.tolist())
+    edges = g.edges
+    for i in range(0, len(edges), EDGE_CHUNK):
+        chunk = edges[i : i + EDGE_CHUNK]
+        fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+# Stripped edge-list lines, each ended by "\n": exactly two tokens a line,
+# as str.split() counts them (regex \s and str.isspace() agree).
+_EDGE_LINES = re.compile(r"(?:\S+[^\S\n]+\S+\n)*")
 
 
 def read_edge_list(fh: TextIO) -> RegularGraph:
-    lines = [line.strip() for line in fh if line.strip()]
+    """Parse write_edge_list's format; blank lines and surrounding whitespace are ignored."""
+    lines = [line for line in map(str.strip, fh) if line]
     if not lines:
         raise ValueError("empty edge list")
     try:
@@ -259,13 +282,21 @@ def read_edge_list(fh: TextIO) -> RegularGraph:
         raise ValueError(f"expected header 'n m d', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    edges = np.empty((m, 2), dtype=np.intp)
-    for i, line in enumerate(lines[1:]):
-        try:
-            edges[i, 0], edges[i, 1] = map(int, line.split())
-        except (ValueError, OverflowError):
-            raise ValueError(f"expected 'u v', got {line!r}") from None
-    return from_edges(n, d, edges)
+    ends = np.empty(2 * m, dtype=np.intp)
+    try:
+        for i in range(0, m, EDGE_CHUNK):
+            body = "\n".join(lines[1 + i : 1 + i + EDGE_CHUNK] + [""])
+            if not _EDGE_LINES.fullmatch(body):
+                raise ValueError
+            ends[2 * i : 2 * (i + EDGE_CHUNK)] = list(map(int, body.split()))
+    except (ValueError, OverflowError):
+        for line in lines[1:]:  # the first line at fault, for the message
+            try:
+                np.array(list(map(int, line.split())), dtype=np.intp).reshape(2)
+            except (ValueError, OverflowError):
+                raise ValueError(f"expected 'u v', got {line!r}") from None
+        raise
+    return from_edges(n, d, ends.reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +346,7 @@ def apply_virtual_rule(
     padded_matrix: np.ndarray, c1: np.ndarray, virtual_bits: np.ndarray, tau: int
 ) -> np.ndarray:
     """Threshold rule where padding entries index virtual_bits, appended to c1."""
-    ext = np.concatenate([c1, virtual_bits]).astype(np.uint8)
+    ext = np.concatenate([c1, virtual_bits]).astype(np.uint8, copy=False)
     return c1 ^ (like_counts(padded_matrix, ext) >= tau)
 
 
@@ -323,7 +354,9 @@ def apply_virtual_rule(
 # Seeded execution
 
 # Trials per block: max(1, BLOCK_SLOTS // bits drawn per trial).
-BLOCK_SLOTS = 1 << 14
+BLOCK_SLOTS = 1 << 16
+# Blocks of fewer trials are tallied trial-major (see monte_carlo).
+FEW_TRIALS = 16
 
 
 def make_trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -337,15 +370,6 @@ def draw_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def _mulhi(a: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """High 64 bits of a * (m1 * 2^32 + m0), summed in 32-bit limbs."""
-    low, s = np.uint64(0xFFFFFFFF), np.uint64(32)
-    a0, a1 = a & low, a >> s
-    t = (a0 * m0 >> s) + a1 * m0
-    w = (t & low) + a0 * m1
-    return a1 * m1 + (t >> s) + (w >> s)
-
-
 def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[np.ndarray]:
     """Chained draw_bits(make_trial_rng(seed, t), n), n in sizes, for a block.
 
@@ -357,10 +381,11 @@ def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[n
     """
     words = [-(-n // 4) for n in sizes]
     counters = -(-sum(words) // 8)
+    shape = (2, trials, counters)
     # state words 0, 2 are multiplied; words 1, 3 are xored into them
-    mul = np.zeros((2, trials, counters), np.uint64)
+    mul = np.zeros(shape, np.uint64)
     mul[0] = np.arange(1, counters + 1, dtype=np.uint64)
-    xor = np.zeros_like(mul)
+    xor = np.zeros(shape, np.uint64)
     key = np.empty((2, trials, 1), np.uint64)
     key[0] = seed & UINT64_MASK
     key[1, :, 0] = np.arange(t0, t0 + trials, dtype=np.uint64)
@@ -369,12 +394,37 @@ def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[n
     # every command resident memory)
     m = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
     w = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
-    m0, m1 = m & np.uint64(0xFFFFFFFF), m >> np.uint64(32)
+    low, s = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m0, m1 = m & low, m >> s
+    # every round runs in place on four scratch arrays: fresh arrays per
+    # ufunc would fault in new pages each round
+    a, b, c, tmp = (np.empty(shape, np.uint64) for _ in range(4))
     for _ in range(10):
-        mul, xor = _mulhi(mul, m0, m1)[::-1] ^ xor ^ key, (mul * m)[::-1]
-        key = key + w
+        # b <- high 64 bits of mul * m, from the 32-bit limbs a (low), b (high)
+        np.bitwise_and(mul, low, out=a)
+        np.right_shift(mul, s, out=b)
+        np.multiply(a, m0, out=c)
+        c >>= s
+        np.multiply(b, m0, out=tmp)
+        c += tmp  # t = (a * m0 >> 32) + b * m0
+        np.bitwise_and(c, low, out=tmp)
+        a *= m1
+        a += tmp  # (t & low) + a * m1
+        a >>= s
+        c >>= s
+        b *= m1
+        b += c
+        b += a
+        # next words 0, 2: the crossed high halves ^ words 1, 3 ^ key;
+        # next words 1, 3: the crossed low halves
+        xor ^= key
+        xor ^= b[::-1]
+        np.multiply(mul[::-1], m[::-1], out=a)
+        mul, xor, a = xor, a, mul
+        key += w
+    del a, b, c, tmp  # freed before the output is built, to lower the peak
     state = np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1).astype("<u8", copy=False)
-    bits = (state.view(np.uint8).reshape(trials, -1) >> 7).T.copy()
+    bits = np.right_shift(state.view(np.uint8).reshape(trials, -1).T, 7, order="C")
     starts = np.cumsum([0] + words) * 4
     return [bits[s : s + n] for s, n in zip(starts, sizes)]
 
@@ -506,6 +556,25 @@ def _blocks(seed: int, trials: int, sizes: Sequence[int]) -> Iterator[List[np.nd
         yield philox_bits(seed, t0, min(step, trials - t0), sizes)
 
 
+def _cut_counts(
+    out: np.ndarray, u: np.ndarray, v: np.ndarray, edge_cut_counts: Optional[np.ndarray]
+) -> np.ndarray:
+    """Edges cut per trial of a block's outputs; adds per-edge counts if given.
+
+    A function of its own, so that its arrays are freed before the next
+    block is drawn.
+    """
+    # 0/1 per edge and trial, edge-major; trial-major in a block of few
+    # trials, whose short rows numpy's take and sum walk slowly
+    axis = int(out.shape[1] < FEW_TRIALS)
+    src = out.T.copy() if axis else out
+    cut = np.take(src, u, axis=axis)
+    cut ^= np.take(src, v, axis=axis)
+    if edge_cut_counts is not None:
+        edge_cut_counts += cut.sum(axis=1 - axis, dtype=np.int64)
+    return cut.sum(axis=axis)
+
+
 def monte_carlo(
     g: RegularGraph, alg: AlgorithmSpec, trials: int, seed: int, per_edge: bool = False
 ) -> TrialStats:
@@ -517,17 +586,16 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sizes, rule = _block_rule(g, alg)
-    edges = g.edges
-    m = len(edges)
+    u, v = g.edges.T.copy()
+    m = len(u)
     if not m:
         raise ValueError("graph has no edges to measure")
-    edge_cut_counts = np.zeros(m, dtype=np.int64)
+    flagged = bool(g.triangle.any())
+    # nothing but per_edge and the triangle split reads the per-edge counts
+    edge_cut_counts = np.zeros(m, dtype=np.int64) if per_edge or flagged else None
     total_cut = total_sq = 0  # sums of c and c^2 over trials, c = edges cut
     for draws in _blocks(seed, trials, sizes):
-        out = rule(*draws)
-        cut = np.take(out, edges[:, 0], axis=0) != np.take(out, edges[:, 1], axis=0)
-        edge_cut_counts += cut.sum(axis=1)
-        c = cut.sum(axis=0)
+        c = _cut_counts(rule(*draws), u, v, edge_cut_counts)
         total_cut += int(c.sum())
         total_sq += int(c @ c)
     mean = total_cut / (trials * m)
@@ -536,12 +604,12 @@ def monte_carlo(
         (trials * total_sq - total_cut**2) / (trials * trials * (trials - 1) * m * m or 1)
     )
     split: list = [None] * 3  # clean mean, flagged mean, flagged fraction
-    if g.triangle.any():
+    if flagged:
         for i, mask in enumerate((~g.triangle, g.triangle)):
             if mask.any():
                 split[i] = float(edge_cut_counts[mask].sum() / (trials * mask.sum()))
         split[2] = float(g.triangle.sum() / m)
-    counts = dict(zip(map(tuple, edges.tolist()), edge_cut_counts.tolist())) if per_edge else None
+    counts = dict(zip(zip(u.tolist(), v.tolist()), edge_cut_counts.tolist())) if per_edge else None
     return TrialStats(trials, mean, stderr, seed, m, counts, *split)
 
 

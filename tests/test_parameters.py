@@ -22,6 +22,7 @@ from localcut.analysis import (
     shearer_bound,
     tau_formula,
     threshold_bound,
+    verify_theorem_bound,
 )
 from localcut.cutsearch import ThresholdRule, threshold_assignment
 from localcut.ngraph import all_neighbourhoods, build_ngraph, check_degree, check_tau
@@ -29,8 +30,12 @@ from localcut.sim import (
     ThresholdCut,
     VirtualNeighbourCut,
     complete_bipartite,
+    cycle_graph,
     from_edges,
+    hypercube_graph,
     monte_carlo,
+    random_bipartite_regular,
+    random_triangle_free,
     run_trial,
 )
 
@@ -44,13 +49,17 @@ def test_checks_return_python_ints(kind):
     assert check_tau(kind(0), 5) == 0
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3, 2.0, 3.5, Fraction(3), "3", None, np.float64(3)])
+@pytest.mark.parametrize(
+    "bad", [1, 0, -3, 2.0, 3.5, Fraction(3), "3", None, np.float64(3), True, False, np.True_]
+)
 def test_check_degree_rejects_non_degrees(bad):
     with pytest.raises(ValueError, match=r"^degree must be an integer >= 2, got "):
         check_degree(bad)
 
 
-@pytest.mark.parametrize("bad", [-1, 6, 2.0, 2.5, Fraction(5, 2), "2", None, np.float64(2)])
+@pytest.mark.parametrize(
+    "bad", [-1, 6, 2.0, 2.5, Fraction(5, 2), "2", None, np.float64(2), True, False, np.False_]
+)
 def test_check_tau_rejects_non_taus(bad):
     with pytest.raises(ValueError, match=r"^tau must be in \[0, 5\], got "):
         check_tau(bad, 4)
@@ -113,9 +122,53 @@ def _entry_points():
 
 @pytest.mark.parametrize("name,call", _entry_points(), ids=[n for n, _ in _entry_points()])
 @pytest.mark.parametrize(
-    "bad", [2.5, 3.0, Fraction(5, 2), np.float64(3.0)], ids=["2.5", "3.0", "5/2", "np3.0"]
+    "bad", [2.5, 3.0, Fraction(5, 2), np.float64(3.0), True],
+    ids=["2.5", "3.0", "5/2", "np3.0", "True"],
 )
 def test_floats_and_fractions_raise_at_every_entry_point(name, call, bad):
     call(3)  # an integer in range passes
     with pytest.raises(ValueError, match="must be"):
         call(bad)
+
+
+# The graph builders' sizes and degrees, and the bound's d_max: each entry
+# with a value that passes
+BUILDERS = {
+    "complete_bipartite": (complete_bipartite, 3),
+    "cycle_graph": (cycle_graph, 6),
+    "hypercube_graph": (hypercube_graph, 3),
+    "random_bipartite_regular(n)": (lambda x: random_bipartite_regular(x, 3, 0), 6),
+    "random_bipartite_regular(d)": (lambda x: random_bipartite_regular(6, x, 0), 3),
+    "random_triangle_free(n)": (lambda x: random_triangle_free(x, 3, 7), 20),
+    "random_triangle_free(d)": (lambda x: random_triangle_free(20, x, 7), 3),
+    "from_edges(node_count)": (lambda x: from_edges(x, 2, [(0, 1)]), 3),
+    "from_edges(degree)": (lambda x: from_edges(3, x, [(0, 1)]), 2),
+    "verify_theorem_bound": (verify_theorem_bound, 30),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize(
+    "bad", [2.5, 3.0, np.float64(3.0), Fraction(3), True, "3"],
+    ids=["2.5", "3.0", "np3.0", "3/1", "True", "str"],
+)
+def test_builder_sizes_must_be_integers(name, bad):
+    build, good = BUILDERS[name]
+    build(good)
+    with pytest.raises(ValueError, match=r"an integer .*, got "):
+        build(bad)
+
+
+@pytest.mark.parametrize("kind", NUMPY_INTS)
+def test_builders_store_python_ints(kind):
+    assert hypercube_graph(kind(3)) == hypercube_graph(3)
+    for g in (
+        complete_bipartite(kind(3)),
+        cycle_graph(kind(6)),
+        hypercube_graph(kind(3)),
+        from_edges(kind(3), kind(2), [(0, 1)]),
+        random_bipartite_regular(kind(6), kind(3), 0),
+        random_triangle_free(kind(20), kind(3), 7),
+    ):
+        assert (type(g.node_count), type(g.degree)) == (int, int)
+    assert verify_theorem_bound(kind(30)) == verify_theorem_bound(30)

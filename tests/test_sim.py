@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,20 @@ def test_generator_streams_are_pinned(generate, args, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+# The benchmark's generator calls and the attempt each accepts at: the
+# rejection decisions, not only the accepted graph, stay as they were
+@pytest.mark.parametrize("generate,args,attempts", [
+    (random_bipartite_regular, (100, 4, 0xC0FFEE), 260),
+    (random_bipartite_regular, (10000, 3, 7), 10),
+    (random_triangle_free, (20000, 3, 7), 7),
+])
+def test_generator_attempt_counts_are_pinned(caplog, generate, args, attempts):
+    with caplog.at_level("INFO", logger="localcut.sim"):
+        generate(*args)
+    (rec,) = [r for r in caplog.records if "attempt" in r.msg]
+    assert rec.args[0] == attempts
+
+
 def test_random_bipartite_errors():
     with pytest.raises(ValueError, match="n_per_side >= d"):
         random_bipartite_regular(2, 3, seed=0)
@@ -358,6 +373,28 @@ def test_edge_list_round_trip():
     for body in ("0 x", "0", "0 1 2"):
         with pytest.raises(ValueError, match=f"expected 'u v', got '{body}'"):
             read_edge_list(io.StringIO(f"2 1 1\n{body}\n"))
+
+
+
+def test_edge_lists_span_chunks_and_name_the_bad_line():
+    g = cycle_graph(2 * sim.EDGE_CHUNK + 7)
+    buf = io.StringIO()
+    write_edge_list(buf, g)
+    text = buf.getvalue()
+    assert text == f"{g.node_count} {g.edge_count} 2\n" + "".join(
+        f"{u} {v}\n" for u, v in g.edges.tolist()
+    )
+    assert read_edge_list(io.StringIO(text)) == g
+    assert read_edge_list(io.StringIO(text.replace(" ", " \t ").replace("\n", "\n\n  "))) == g
+    lines = text.splitlines()
+    k = sim.EDGE_CHUNK + 5  # a line past the first chunk
+    for bad in ("0 1 2", "x 1", f"{2**63} 1"):
+        broken = "\n".join(lines[:k] + [bad] + lines[k + 1 :])
+        with pytest.raises(ValueError, match=f"^expected 'u v', got '{bad}'$"):
+            read_edge_list(io.StringIO(broken))
+    # token counts that make up for each other across lines
+    with pytest.raises(ValueError, match=r"^expected 'u v', got '0 1 2'$"):
+        read_edge_list(io.StringIO("4 2 3\n0 1 2\n3\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +594,41 @@ def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
     monkeypatch.setattr(sim, "BLOCK_SLOTS", 1)  # one trial per block
     single = monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True)
     assert single == default
+
+
+def cycle_with_a_triangle(n: int) -> sim.RegularGraph:
+    """The n-cycle plus the chord (0, 2): degree bound 3, edges 01, 02, 12 flagged."""
+    return from_edges(n, 3, [(i, (i + 1) % n) for i in range(n)] + [(0, 2)])
+
+
+TALLY_CASES = {
+    "petersen-shearer": (petersen_graph, ShearerCut(), 301),
+    "pendants-virtual": (triangle_with_pendants, VirtualNeighbourCut(2), 301),
+    # more drawn bits per trial than one default block holds
+    "long-cycle-virtual": (lambda: cycle_with_a_triangle(40_000), VirtualNeighbourCut(2), 5),
+}
+
+
+@pytest.mark.parametrize("case", TALLY_CASES)
+def test_monte_carlo_tally_is_independent_of_the_block_width(case, monkeypatch):
+    build, spec, trials = TALLY_CASES[case]
+    g = build()
+    bits = sum(sim._block_rule(g, spec)[0])
+
+    def run(per_edge):
+        return monte_carlo(g, spec, trials, seed=0xC0FFEE, per_edge=per_edge)
+
+    # default blocks: one trial on the long cycle, else enough to tally edge-major
+    assert (bits > sim.BLOCK_SLOTS) == case.startswith("long")
+    assert bits > sim.BLOCK_SLOTS or sim.BLOCK_SLOTS // bits >= sim.FEW_TRIALS
+    want, want_counts = run(False), run(True)
+    # the per-edge tally is skipped without per_edge; the rest must not move
+    assert replace(want_counts, per_edge=None) == want
+    assert (want.flagged_edge_mean is None) == (case == "petersen-shearer")
+    for slots in (1, 5 * bits // 2):  # one trial a block; two (tallied trial-major)
+        monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
+        assert run(False) == want
+        assert run(True) == want_counts
 
 
 def test_monte_carlo_matches_the_per_trial_stream():
