@@ -89,8 +89,8 @@ def cmd_build_ngraph(args: argparse.Namespace) -> int:
             # the text table's pair lines, comma-separated
             rows = ngraph.format_ngraph_table(g).split("\n", 1)[1]
             fh.write("side1,i1,side2,i2,num,den\n" + rows.replace(" ", ","))
-        else:
-            fh.write(ngraph.format_ngraph_json(g))
+        else:  # one n1 row at a time: the document is never held whole
+            fh.writelines(ngraph.ngraph_json_chunks(g))
     return 0
 
 

@@ -25,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 SIDES = ("a", "b")
 
@@ -180,10 +180,18 @@ def format_ngraph_json(g: WeightedNgraph) -> str:
          "weights": [{"n1": [side, i], "n2": [side, i], "weight": "num/den"}, ...],
          "normalisation": "num/den"}
 
-    with weights in lowest terms and pairs in node order.  The indented text
-    is assembled directly: each node's `[side, i]` block is formatted once per
-    nesting depth, and one chunk is joined per n1 row, instead of running the
-    pure-Python encoder over 4(d+1)^2 dicts.
+    with weights in lowest terms and pairs in node order: the chunks of
+    `ngraph_json_chunks`, joined.
+    """
+    return "".join(ngraph_json_chunks(g))
+
+
+def ngraph_json_chunks(g: WeightedNgraph) -> Iterator[str]:
+    """`format_ngraph_json`'s text in pieces of one n1 row each, for writing.
+
+    The indented text is assembled directly: each node's `[side, i]` block is
+    formatted once per nesting depth, instead of running the pure-Python
+    encoder over 4(d+1)^2 dicts.
     """
 
     def block(n: Neighbourhood, pad: str) -> str:
@@ -191,25 +199,17 @@ def format_ngraph_json(g: WeightedNgraph) -> str:
 
     nodes = g.nodes
     in_pair = {n: block(n, "      ") for n in nodes}
-    chunks = []
-    for n1, row in _reduced_rows(g):
+    yield f'{{\n  "d": {g.degree},\n  "nodes": [\n    '
+    yield ",\n    ".join(block(n, "    ") for n in nodes)
+    yield '\n  ],\n  "weights": [\n'
+    for i, (n1, row) in enumerate(_reduced_rows(g)):
         head = f'    {{\n      "n1": {in_pair[n1]},\n      "n2": '
-        chunks.append(
-            ",\n".join(
-                f'{head}{in_pair[n2]},\n      "weight": "{num}/{den}"\n    }}'
-                for n2, num, den in row
-            )
+        yield ",\n" * (i > 0) + ",\n".join(
+            f'{head}{in_pair[n2]},\n      "weight": "{num}/{den}"\n    }}'
+            for n2, num, den in row
         )
     total = g.total_weight()
-    return "".join(
-        [
-            f'{{\n  "d": {g.degree},\n  "nodes": [\n    ',
-            ",\n    ".join(block(n, "    ") for n in nodes),
-            '\n  ],\n  "weights": [\n',
-            ",\n".join(chunks),
-            f'\n  ],\n  "normalisation": "{total.numerator}/{total.denominator}"\n}}\n',
-        ]
-    )
+    yield f'\n  ],\n  "normalisation": "{total.numerator}/{total.denominator}"\n}}\n'
 
 
 def parse_ngraph_table(text: str) -> WeightedNgraph:

@@ -7,7 +7,9 @@ graphs, and Monte Carlo measurement of cut weights and per-edge statistics.
 Randomness contract: trial t of master seed s draws from Philox4x64-10 keyed
 by (s mod 2^64, t), so trials are reproducible and independent, and runs of
 different algorithms at the same (seed, trial) share the base cut c1. Within
-a trial, bits are drawn in node-index order, one array per cut.
+a trial, bits are drawn in node-index order, one array per cut. Monte Carlo
+runs draw blocks of trials (`philox_bits`): many small trials at once through
+Philox rounds written in numpy, a few large ones through numpy's C Philox.
 Like-mindedness is the equality convention: a neighbour u of v counts
 towards l(v) when c1(u) == c1(v).
 """
@@ -90,8 +92,8 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     out-of-range endpoints, then the first self-loop or repeated edge in
     input order (one sort of the m keys min(u, v) * n + max(u, v) finds
     both, before anything is built), then nodes above the degree bound.
-    Sorted half-edges fill `nbr`; binary search for (u, w), w a neighbour of
-    v, flags (u, v) in a triangle.
+    Sorted half-edges fill `nbr`; comparing the rows nbr[u] and nbr[v]
+    flags (u, v) in a triangle (`_triangle_flags`).
     """
     node_count = check_integer(node_count, 1, math.inf, "node_count must be an integer >= 1")
     degree = check_integer(degree, 1, math.inf, "degree must be an integer >= 1")
@@ -125,10 +127,32 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
         raise ValueError(f"node {u} has degree {deg[u]}, above the declared bound {degree}")
     nbr = np.full((node_count, degree), -1, dtype=np.intp)
     nbr[tail, np.arange(len(tail)) - (np.cumsum(deg) - deg)[tail]] = head
-    w = nbr[head[tail < head]]  # for each edge (u, v), u < v, in order: v's neighbours
-    probe = tail[tail < head, None] * node_count + w  # the keys of (u, w), in u order
-    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    return RegularGraph(node_count, degree, nbr, ((keys[at] == probe) & (w >= 0)).any(axis=1))
+    edge = tail < head  # each edge (u, v), u < v, once, in lexicographic order
+    return RegularGraph(node_count, degree, nbr, _triangle_flags(nbr, tail[edge], head[edge]))
+
+
+# Edges per chunk of the triangle search: max(1, TRIANGLE_BUDGET // d), so
+# the chunk's gathered (edges, d) rows have a fixed number of elements.
+TRIANGLE_BUDGET = 1 << 16
+
+
+def _triangle_flags(nbr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether u[i] and v[i] share a neighbour, by d x d comparisons of their rows.
+
+    Padding (-1) in u's row is masked out, so it never matches v's padding.
+    The work grows as d^2 per edge and the memory stays within one chunk.
+    """
+    d = nbr.shape[1]
+    out = np.empty(len(u), dtype=bool)
+    step = max(1, TRIANGLE_BUDGET // d)
+    for i in range(0, len(u), step):
+        a, b = nbr[u[i : i + step]], nbr[v[i : i + step]]
+        hit = a == b[:, :1]
+        for k in range(1, d):
+            hit |= a == b[:, k : k + 1]
+        hit &= a >= 0
+        out[i : i + step] = hit.any(axis=1)
+    return out
 
 
 def _first_repeat(keys: np.ndarray, repeated: np.ndarray, loop: np.ndarray) -> int:
@@ -374,13 +398,35 @@ def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[n
     """Chained draw_bits(make_trial_rng(seed, t), n), n in sizes, for a block.
 
     Evaluates Philox4x64-10 under key (seed mod 2^64, t) for t0 <= t <
-    t0 + trials at once and returns one (n, trials) uint8 array per draw,
-    bit for bit numpy's stream: the counter starts at 1, each uint64 splits
-    into two uint32 (low half first), each uint32 into four bytes (low byte
-    first), bit = byte >> 7, and every draw starts on a fresh uint32.
+    t0 + trials and returns one (n, trials) uint8 array per draw, bit for bit
+    numpy's stream: the counter starts at 1, each uint64 splits into two
+    uint32 (low half first), each uint32 into four bytes (low byte first),
+    bit = byte >> 7, and every draw starts on a fresh uint32.
+
+    The bits drawn per trial pick the route. A trial of more than
+    BLOCK_SLOTS // FEW_TRIALS bits (a block of fewer than FEW_TRIALS trials)
+    reads numpy's C Philox one trial at a time; a block of many small trials
+    runs the ten rounds on all its counters at once, in numpy.
     """
     words = [-(-n // 4) for n in sizes]
-    counters = -(-sum(words) // 8)
+    route = _c_philox_bytes if sum(sizes) > BLOCK_SLOTS // FEW_TRIALS else _block_philox_bytes
+    bits = np.right_shift(route(seed, t0, trials, sum(words)).T, 7, order="C")
+    starts = np.cumsum([0] + words) * 4
+    return [bits[s : s + n] for s, n in zip(starts, sizes)]
+
+
+def _c_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarray:
+    """Each trial's stream as bytes, one row a trial, through `words` uint32 at least."""
+    rows = np.empty((trials, -(-words // 2)), "<u8")
+    for i in range(trials):
+        key = np.array([seed & UINT64_MASK, t0 + i], dtype=np.uint64)
+        rows[i] = np.random.Philox(key=key).random_raw(rows.shape[1])
+    return rows.view(np.uint8)
+
+
+def _block_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarray:
+    """`_c_philox_bytes`'s rows, from ten in-place rounds over the block's counters."""
+    counters = -(-words // 8)
     shape = (2, trials, counters)
     # state words 0, 2 are multiplied; words 1, 3 are xored into them
     mul = np.zeros(shape, np.uint64)
@@ -424,9 +470,7 @@ def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[n
         key += w
     del a, b, c, tmp  # freed before the output is built, to lower the peak
     state = np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1).astype("<u8", copy=False)
-    bits = np.right_shift(state.view(np.uint8).reshape(trials, -1).T, 7, order="C")
-    starts = np.cumsum([0] + words) * 4
-    return [bits[s : s + n] for s, n in zip(starts, sizes)]
+    return state.view(np.uint8).reshape(trials, -1)
 
 
 def labels_from_bits(bits: np.ndarray) -> NodeLabels:

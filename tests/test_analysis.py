@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from localcut.analysis import (
     AlphaValue,
+    BoundCheck,
     alpha,
     alpha_closed_form,
     alpha_sweep,
@@ -268,6 +270,15 @@ def test_pascal_carried_bound_matches_the_term_walk():
     # (hi = n at d = 2 and 3, the first left drop at d = 4)
     for d_max in range(2, 13):
         assert _fields(verify_theorem_bound(d_max)) == walk[: d_max - 1]
+
+
+def test_bound_checks_store_the_gain_and_not_the_margin():
+    # the margin has about twice the gain's bits; it is built on read, from
+    # the same integers that decided passed and equality
+    assert [f.name for f in fields(BoundCheck)] == ["degree", "tau", "gain", "passed", "equality"]
+    for c in verify_theorem_bound(40).checks:
+        assert c.margin == c.gain**2 * 1024 * c.degree - 81 * 16 ** (c.degree - 1)
+        assert (c.passed, c.equality) == (c.margin >= 0, c.margin == 0)
 
 
 def test_verify_theorem_bound_validation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import re
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from localcut.ngraph import (
     all_neighbourhoods,
     build_ngraph,
     complement_side,
+    format_ngraph_json,
     format_ngraph_table,
+    ngraph_json_chunks,
     parse_ngraph_table,
 )
-from oracles import joint_view_distribution
+from oracles import joint_view_distribution, ngraph_json_doc
 
 
 def test_known_weights_d3():
@@ -142,3 +145,14 @@ def test_rejects_bad_inputs():
         build_ngraph(3).weight(Neighbourhood("c", 0), Neighbourhood("b", 0))
     with pytest.raises(ValueError):
         complement_side("x")
+
+
+@pytest.mark.parametrize("d", (2, 3, 7, 20))
+def test_ngraph_json_comes_one_row_a_chunk(d):
+    g = build_ngraph(d)
+    chunks = list(ngraph_json_chunks(g))
+    # header, nodes, "weights" opener, one chunk per n1 row, closer
+    assert len(chunks) == 3 + 2 * (d + 1) + 1
+    assert all(c.count('"n1"') == 2 * (d + 1) for c in chunks[3:-1])
+    assert "".join(chunks) == format_ngraph_json(g)
+    assert format_ngraph_json(g) == json.dumps(ngraph_json_doc(g), indent=2) + "\n"

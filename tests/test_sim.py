@@ -7,6 +7,7 @@ import io
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -251,6 +252,57 @@ def test_triangle_flags():
     assert not g.is_strict and g.is_regular is False  # pendants have degree 1
     p = petersen_graph()
     assert p.edges[p.triangle].tolist() == []
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs on 4..24 nodes under a degree bound d <= 12, often planted with K4s.
+
+    Edges that would exceed the bound are skipped, so most rows keep -1
+    padding. Edges come in random order and orientation.
+    """
+    n = draw(st.integers(4, 24))
+    d = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    deg = [0] * n
+    edges = set()
+    quads = draw(st.lists(st.lists(node, min_size=4, max_size=4, unique=True), max_size=4))
+    pairs = [p for quad in quads for p in combinations(quad, 2)]
+    for u, v in pairs + draw(st.lists(st.tuples(node, node), max_size=80)):
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and deg[u] < d and deg[v] < d:
+            edges.add(e)
+            deg[u] += 1
+            deg[v] += 1
+    edges = [e[:: draw(st.sampled_from((1, -1)))] for e in draw(st.permutations(sorted(edges)))]
+    return n, d, edges
+
+
+@pytest.mark.parametrize("budget", (1, 7, sim.TRIANGLE_BUDGET))
+@settings(max_examples=150, deadline=None)
+@given(dense_graphs())
+def test_triangle_flags_match_the_set_oracle(budget, case):
+    # a budget of 1 makes every edge a chunk of its own; 7 splits the rows
+    # of d > 7 below one edge
+    n, d, edges = case
+    nbrs, triangles = set_graph(n, d, edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "TRIANGLE_BUDGET", budget)
+        g = from_edges(n, d, edges)
+    assert [row[row >= 0].tolist() for row in g.nbr] == nbrs
+    assert [tuple(e) for e in g.edges[g.triangle].tolist()] == triangles
+
+
+@pytest.mark.parametrize("budget", (1, sim.TRIANGLE_BUDGET))
+def test_triangle_flags_span_chunks(budget, monkeypatch):
+    # a 50000-cycle with a chord (i, i + 2) every 997 nodes: its 50000+
+    # edges span several chunks at the default budget, one edge a chunk at 1
+    n = 50_000
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 2) for i in range(0, n - 2, 997)]
+    monkeypatch.setattr(sim, "TRIANGLE_BUDGET", budget)
+    assert len(edges) > 2 * (sim.TRIANGLE_BUDGET // 3)  # three chunks or more
+    g = from_edges(n, 3, edges)
+    assert [tuple(e) for e in g.edges[g.triangle].tolist()] == set_graph(n, 3, edges)[1]
 
 
 def test_random_bipartite_regular():
@@ -520,16 +572,36 @@ def test_randomness_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 # Block kernel against numpy's Philox
 
-KERNEL_SEEDS = (0, 42, 0xC0FFEE, 2**63 + 0x3039, 2**64 - 1)
+KERNEL_SEEDS = (0, 42, 0xC0FFEE, 2**63 + 0x3039, 2**64 - 1, 2**63)
+
+# Bits per trial on either side of BLOCK_SLOTS // FEW_TRIALS = 4096, where
+# philox_bits turns from its numpy rounds to numpy's C Philox: one draw, two
+# draws (the virtual rule) and three (the Shearer rule), of odd sizes.
+ROUTE_SIZES = [
+    (4095,), (4096,), (4097,),
+    (2045, 2049), (2047, 2049), (2047, 2051),
+    (1365, 1365, 1365), (1365, 1365, 1367), (4093, 1, 3),
+]
+
+
+def c_route_calls(monkeypatch) -> list:
+    """Records the arguments of every draw through numpy's C Philox."""
+    calls = []
+    c_route = sim._c_philox_bytes
+    monkeypatch.setattr(sim, "_c_philox_bytes", lambda *a: calls.append(a) or c_route(*a))
+    return calls
 
 
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
 @pytest.mark.parametrize("sizes", [(n,) for n in (1, 3, 4, 5, 10, 31, 200, 257)] + [
     (10, 10, 10), (4, 6), (5, 0, 7), (1, 257, 3, 31)
-])
-def test_block_kernel_matches_chained_draws(seed, sizes):
+] + ROUTE_SIZES)
+def test_block_kernel_matches_chained_draws(seed, sizes, monkeypatch):
+    assert sim.BLOCK_SLOTS // sim.FEW_TRIALS == 4096
+    routed = c_route_calls(monkeypatch)
     t0, trials = 5, 4
     block = sim.philox_bits(seed, t0, trials, sizes)
+    assert bool(routed) == (sum(sizes) > 4096)
     assert [a.shape for a in block] == [(n, trials) for n in sizes]
     for i in range(trials):
         rng = make_trial_rng(seed, t0 + i)
@@ -576,24 +648,57 @@ BLOCK_CASES = [
 ]
 
 
+BLOCK_GRAPHS = {
+    "k33": lambda: complete_bipartite(3),
+    "petersen": petersen_graph,
+    "star": lambda: from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]),
+    "triangle_with_pendants": triangle_with_pendants,
+}
+BLOCK_SPECS = {
+    "uniform": UniformCut(),
+    "threshold": ThresholdCut(3),
+    "shearer": ShearerCut(),
+    "virtual": VirtualNeighbourCut(2),
+}
+
+
+def route_slots(bits):
+    """BLOCK_SLOTS values, each with the Philox route it forces on trials of `bits` bits.
+
+    One trial a block and FEW_TRIALS - 1 trials a block draw through numpy's
+    C Philox; FEW_TRIALS trials a block, and wide blocks, through the rounds.
+    """
+    few = sim.FEW_TRIALS
+    return [(1, True), (few * bits - 1, True), (few * bits, False), (1 << 20, False)]
+
+
 @pytest.mark.parametrize("graph,alg", BLOCK_CASES)
 def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
-    g = {
-        "k33": complete_bipartite(3),
-        "petersen": petersen_graph(),
-        "star": from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]),
-        "triangle_with_pendants": triangle_with_pendants(),
-    }[graph]
-    spec = {
-        "uniform": UniformCut(),
-        "threshold": ThresholdCut(3),
-        "shearer": ShearerCut(),
-        "virtual": VirtualNeighbourCut(2),
-    }[alg]
-    default = monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True)
-    monkeypatch.setattr(sim, "BLOCK_SLOTS", 1)  # one trial per block
-    single = monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True)
-    assert single == default
+    # and of the Philox route that each block size takes; run_trial as well
+    g, spec = BLOCK_GRAPHS[graph](), BLOCK_SPECS[alg]
+    bits = sum(sim._block_rule(g, spec)[0])
+    routed = c_route_calls(monkeypatch)
+
+    def run():
+        return (monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True),
+                run_trial(g, spec, seed=0xC0FFEE))
+
+    default = run()
+    assert not routed  # a small graph's default blocks take the rounds
+    for slots, c in route_slots(bits):
+        monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
+        routed.clear()
+        assert run() == default
+        assert bool(routed) == c
+
+
+@pytest.mark.parametrize("graph,edge", [("k33", (0, 3)), ("petersen", (0, 5))])
+def test_the_philox_routes_give_the_same_joint_distribution(graph, edge, monkeypatch):
+    g = BLOCK_GRAPHS[graph]()
+    want = empirical_joint_distribution(g, edge, 301, seed=11)
+    for slots, _ in route_slots(g.node_count):
+        monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
+        assert empirical_joint_distribution(g, edge, 301, seed=11) == want
 
 
 def cycle_with_a_triangle(n: int) -> sim.RegularGraph:
