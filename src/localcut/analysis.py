@@ -84,17 +84,17 @@ def alpha_sweep(d: int) -> list[AlphaValue]:
     return [AlphaValue(d, tau, HALF + Fraction(g, scale)) for tau, g in zip(taus, gains)]
 
 
-def _optimum(d: int) -> tuple[list[int], Fraction]:
-    """Every tau maximising alpha(tau, d), ascending, and the maximum itself.
+def _optimum_gain(d: int) -> tuple[list[int], int]:
+    """Every tau maximising alpha(tau, d), ascending, and the maximum gain.
 
-    Walks tau up from floor(d/2) + 1 with c = C(n, tau-1), n = d - 1, and the
-    window sum S = P(tau-1) - P(d-tau), so the gain is c * S.  One step adds
+    The gain is (alpha - 1/2) * 4^(d-1), an integer; the caller checks d.
+    Walks tau up from floor(d/2) + 1 with c = C(n, tau-1), n = d - 1, and
+    the window sum S = P(tau-1) - P(d-tau), so the gain is c * S.  One step adds
     C(n, d-tau-1) = C(n, tau) on the left and C(n, tau-1) on the right.  S
     never exceeds 2^n and c falls as tau grows, so once C(n, tau) * 2^n is
     below the best gain no later tau can reach it; the test is strict, so
     ties are kept.  `_gains` over every tau is the full-scan reference.
     """
-    d = check_degree(d)
     n = d - 1
     tau = d // 2 + 1
     c = math.comb(n, tau - 1)
@@ -111,7 +111,7 @@ def _optimum(d: int) -> tuple[list[int], Fraction]:
             best, winners = gain, [tau]
         elif gain == best:
             winners.append(tau)
-    return winners, HALF + Fraction(best, 4**n)
+    return winners, best
 
 
 def optimal_taus(d: int) -> list[int]:
@@ -122,13 +122,14 @@ def optimal_taus(d: int) -> list[int]:
     alpha never exceeds 1/2, while the scanned region always contains a
     value strictly above 1/2.
     """
-    return _optimum(d)[0]
+    return _optimum_gain(check_degree(d))[0]
 
 
 def optimal_tau(d: int) -> tuple[int, Fraction]:
     """The smallest optimal threshold and its exact cut fraction."""
-    taus, value = _optimum(d)
-    return taus[0], value
+    d = check_degree(d)
+    taus, best = _optimum_gain(d)
+    return taus[0], HALF + Fraction(best, 4 ** (d - 1))
 
 
 def tau_formula(d: int) -> int:
@@ -179,17 +180,27 @@ class SqrtBound:
         return None
 
     def to_float(self) -> float:
-        return 0.5 + math.sqrt(float(self.coeff_sq) / self.degree)
+        return _root_bound_float(float(self.coeff_sq), self.degree)
+
+
+def _root_bound_float(coeff_sq: float, d: int) -> float:
+    """1/2 + sqrt(coeff_sq / d) in floating point, for reporting only."""
+    return 0.5 + math.sqrt(coeff_sq / d)
+
+
+# (9/32)^2 and (sqrt(2)/8)^2
+THRESHOLD_COEFF_SQ = Fraction(81, 1024)
+SHEARER_COEFF_SQ = Fraction(1, 32)
 
 
 def threshold_bound(d: int) -> SqrtBound:
     """Proven guarantee 1/2 + 9/(32 sqrt(d)) for the formula threshold."""
-    return SqrtBound(Fraction(81, 1024), check_degree(d))
+    return SqrtBound(THRESHOLD_COEFF_SQ, check_degree(d))
 
 
 def shearer_bound(d: int) -> SqrtBound:
     """Shearer's guarantee 1/2 + sqrt(2)/(8 sqrt(d))."""
-    return SqrtBound(Fraction(1, 32), check_degree(d))
+    return SqrtBound(SHEARER_COEFF_SQ, check_degree(d))
 
 
 @dataclass(frozen=True)
@@ -218,20 +229,47 @@ class BoundReport:
     equality_degrees: tuple[int, ...]
 
 
+def _bound_decision(gain: int, d: int) -> tuple[bool, bool]:
+    """(margin >= 0, margin == 0) for margin = gain^2 * 1024 * d - 81 * 16^(d-1).
+
+    For a gain >= 0: with k = bit_length - 64, clamped to [0, 2(d-1)], and
+    g = gain >> k, g * 2^k <= gain < (g + 1) * 2^k.  Dividing out 4^k,
+    gain^2 * 1024 * d lies in [g^2, (g + 1)^2) * 1024 * d, to compare with
+    81 * 2^(4(d-1) - 2k): about 150 bits for the theorem's gains.  Only a
+    bracket that straddles it (as at d = 4) needs the exact margin.
+    """
+    k = min(max(0, gain.bit_length() - 64), 2 * (d - 1))
+    g = gain >> k
+    low, high = g * g * d << 10, (g + 1) * (g + 1) * d << 10
+    rhs = 81 << 4 * (d - 1) - 2 * k
+    if low > rhs:
+        return True, False
+    if high <= rhs:
+        return False, False
+    margin = (gain * gain * d << 10) - (81 << 4 * (d - 1))
+    return margin >= 0, margin == 0
+
+
 def verify_theorem_bound(d_max: int) -> BoundReport:
     """Check alpha(tau_formula(d), d) >= 1/2 + 9/(32 sqrt(d)) for d = 2..d_max.
 
-    Exact integer arithmetic throughout: with gain N = (alpha - 1/2) * 4^(d-1),
-    the inequality is N^2 * 1024 * d >= 81 * 16^(d-1).
+    Integer arithmetic throughout, no float: with gain
+    N = (alpha - 1/2) * 4^(d-1), the inequality is
+    N^2 * 1024 * d >= 81 * 16^(d-1).  `_bound_decision` decides it from a
+    certified bracket on N's leading 64 bits, which settles every degree to
+    10000 but the equality degree d = 4, where the exact margin decides.
 
     N = C(n, hi) * S with n = d - 1, tau = tau_formula(d), and S the window
     sum of C(n, i) over i = lo..hi, lo = d - tau + 1, hi = tau - 1.  S and the
     edge terms C(n, lo), C(n, hi) are carried from one degree to the next in
     a constant number of big-integer steps:
 
-      * tau_formula rises by 0 or 1 per degree and lo + hi = d, so on row
-        n - 1 the window either drops its left term C(n-1, lo) (tau stays)
-        or gains C(n-1, hi + 1) on the right (tau rises);
+      * tau_formula(d) is the smallest t with 2t >= d and (2t - d)^2 >= d,
+        and tau_formula(d-1) + 1 always qualifies, so tau stays if it still
+        qualifies at d and rises by 1 otherwise;
+      * lo + hi = d, so on row n - 1 the window either drops its left term
+        C(n-1, lo) (tau stays) or gains C(n-1, hi + 1) on the right (tau
+        rises);
       * Pascal's rule then moves the window sum to row n,
         S <- 2S - C(n-1, hi) + C(n-1, lo-1);
       * with lo + hi = n + 1, C(n-1, hi-1) = C(n-1, lo-1), so both edges
@@ -246,36 +284,25 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
     tau = 2  # tau_formula(2); the window at d = 2 is [1, 1] on row 1
     lo = hi = 1
     s = c_lo = c_hi = 1  # S, C(n, lo), C(n, hi)
-    rhs = 81 * 16  # 81 * 16^(d-1)
     for d in range(2, d_max + 1):
         if d > 2:
             m = d - 2  # the previous row
-            nxt = tau_formula(d)
-            if nxt == tau:  # lo + 1: drop the left term
+            if 2 * tau >= d and (2 * tau - d) ** 2 >= d:  # tau stays: drop the left term
                 s -= c_lo
                 c_lo = c_lo * (m - lo) // (lo + 1)
                 lo += 1
-            else:  # hi + 1: add the right term
+            else:  # tau rises: add the right term
+                tau += 1
                 c_hi = c_hi * (m - hi) // (hi + 1)
                 hi += 1
                 s += c_hi
-            tau = nxt
             below = c_lo * lo // (m - lo + 1)  # C(m, lo-1) = C(m, hi-1); lo <= m
             s = 2 * s - c_hi + below
             c_lo += below
             c_hi += below
         gain = c_hi * s  # C(n, tau-1) * S = (alpha - 1/2) * 4^n
-        margin = (gain * gain * d << 10) - rhs
-        checks.append(
-            BoundCheck(
-                degree=d,
-                tau=tau,
-                gain=gain,
-                passed=margin >= 0,
-                equality=margin == 0,
-            )
-        )
-        rhs <<= 4
+        passed, equality = _bound_decision(gain, d)
+        checks.append(BoundCheck(degree=d, tau=tau, gain=gain, passed=passed, equality=equality))
     return BoundReport(
         d_max=d_max,
         checks=tuple(checks),
@@ -490,23 +517,30 @@ def write_alpha_sweep_csv(fh: IO[str], d: int, header: bool = True) -> None:
         )
 
 
+def _alpha_float(gain: int, d: int) -> float:
+    """float(1/2 + gain / 4^(d-1)) without a Fraction: int / int rounds correctly."""
+    return (gain + (1 << (2 * d - 3))) / (1 << (2 * d - 2))
+
+
 def write_tau_opt_csv(fh: IO[str], d_values: Iterable[int]) -> list[tuple[int, list[int]]]:
     """Optimal-threshold table; returns [(d, taus)] for any degrees with ties."""
     fh.write(TAU_OPT_COLUMNS + "\n")
+    ours, shearer = float(THRESHOLD_COEFF_SQ), float(SHEARER_COEFF_SQ)  # to_float's, once
     ties = []
-    for d in d_values:
-        taus, a = _optimum(d)
+    for d in map(check_degree, d_values):
+        taus, best = _optimum_gain(d)
         if len(taus) > 1:
             ties.append((d, taus))
         fh.write(
-            f"{d},{taus[0]},{tau_formula(d)},{fmt_float(float(a))},"
-            f"{fmt_float(threshold_bound(d).to_float())},"
-            f"{fmt_float(shearer_bound(d).to_float())}\n"
+            f"{d},{taus[0]},{tau_formula(d)},{fmt_float(_alpha_float(best, d))},"
+            f"{fmt_float(_root_bound_float(ours, d))},"
+            f"{fmt_float(_root_bound_float(shearer, d))}\n"
         )
     return ties
 
 
 def bound_report_json(report: BoundReport) -> dict:
+    ours = float(THRESHOLD_COEFF_SQ)  # to_float's, once
     return {
         "d_max": report.d_max,
         "all_pass": report.all_pass,
@@ -515,10 +549,8 @@ def bound_report_json(report: BoundReport) -> dict:
             {
                 "d": c.degree,
                 "tau": c.tau,
-                # alpha = (N + 2^(2n-1)) / 4^n, n = d - 1; int / int rounds
-                # correctly, so this equals float(c.alpha) without the gcd
-                "alpha_float": (c.gain + (1 << (2 * c.degree - 3))) / (1 << (2 * c.degree - 2)),
-                "bound_float": threshold_bound(c.degree).to_float(),
+                "alpha_float": _alpha_float(c.gain, c.degree),
+                "bound_float": _root_bound_float(ours, c.degree),
                 "passed": c.passed,
                 "equality": c.equality,
             }

@@ -106,6 +106,15 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
         if any(issubclass(t, (bool, np.bool_)) for t in kinds):
             raise TypeError("edge endpoints must be integers that fit in int64, got bool values")
     e = e.astype(np.intp, copy=False).reshape(-1, 2)
+    g = _simple_graph(node_count, degree, e)
+    if g is None:
+        u, v = e[_first_repeat(e, node_count)]
+        raise ValueError(f"self-loop at node {u}" if u == v else f"duplicate edge ({u}, {v})")
+    return g
+
+
+def _simple_graph(node_count: int, degree: int, e: np.ndarray) -> Optional[RegularGraph]:
+    """`from_edges` of an (m, 2) int array, but None for a loop or repeat, unnamed."""
     outside = (e < 0) | (e >= node_count)
     if outside.any():
         u, v = e[outside.any(axis=1)][0]
@@ -113,11 +122,8 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
     keys = lo * node_count + hi
     ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    loop = lo == hi
-    if len(repeated) or loop.any():
-        u, v = e[_first_repeat(keys, repeated, loop)]
-        raise ValueError(f"self-loop at node {u}" if u == v else f"duplicate edge ({u}, {v})")
+    if (ordered[1:] == ordered[:-1]).any() or (lo == hi).any():
+        return None
     keys = np.concatenate([keys, hi * node_count + lo])  # the half-edges (tail, head)
     keys.sort()
     tail, head = np.divmod(keys, node_count)
@@ -129,6 +135,14 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     nbr[tail, np.arange(len(tail)) - (np.cumsum(deg) - deg)[tail]] = head
     edge = tail < head  # each edge (u, v), u < v, once, in lexicographic order
     return RegularGraph(node_count, degree, nbr, _triangle_flags(nbr, tail[edge], head[edge]))
+
+
+def _first_repeat(e: np.ndarray, node_count: int) -> int:
+    """Index of the first edge of e that is a self-loop or repeats an earlier one."""
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    bad = np.ones(len(e), dtype=bool)  # all but each key's first occurrence
+    bad[np.unique(lo * node_count + hi, return_index=True)[1]] = False
+    return int((bad | (lo == hi)).argmax())
 
 
 # Edges per chunk of the triangle search: max(1, TRIANGLE_BUDGET // d), so
@@ -153,18 +167,6 @@ def _triangle_flags(nbr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray
         hit &= a >= 0
         out[i : i + step] = hit.any(axis=1)
     return out
-
-
-def _first_repeat(keys: np.ndarray, repeated: np.ndarray, loop: np.ndarray) -> int:
-    """Index of the first edge that is a self-loop or repeats an earlier edge's key."""
-    first = int(loop.argmax()) if loop.any() else len(keys)
-    at = np.flatnonzero(np.isin(keys[:first], repeated))
-    seen = set()
-    for i, k in zip(at.tolist(), keys[at].tolist()):
-        if k in seen:
-            return i
-        seen.add(k)
-    return first
 
 
 def complete_bipartite(d: int) -> RegularGraph:
@@ -211,18 +213,18 @@ def _first_strict(
 ) -> RegularGraph:
     """The first strict `from_edges(n, d, draw())` within max_attempts draws.
 
-    A `ValueError` from `from_edges` (a self-loop, a repeated edge) rejects a
-    draw, as a triangle does; `from_edges` finds those by one sort of the
-    draw's edge keys, before it builds anything. The INFO record's first
+    A self-loop or repeated edge (left unnamed) or a `ValueError` rejects a
+    draw, as a triangle does; one sort of the draw's edge keys finds those
+    before anything is built. The INFO record's first
     argument is the attempt count; `params` names the generator's inputs
     there and on exhaustion.
     """
     for attempt in range(1, max_attempts + 1):
         try:
-            g = from_edges(n, d, draw())
+            g = _simple_graph(n, d, draw())
         except ValueError:
             continue
-        if g.is_strict:
+        if g is not None and g.is_strict:
             logger.info("accepted after %d attempt(s) (%s)", attempt, params)
             return g
     raise RuntimeError(
@@ -416,11 +418,18 @@ def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[n
 
 
 def _c_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarray:
-    """Each trial's stream as bytes, one row a trial, through `words` uint32 at least."""
+    """Each trial's stream as bytes, one row a trial, through `words` uint32 at least.
+
+    Each trial resets one generator to `Philox(key=...)`'s first state,
+    which skips a `SeedSequence` drawn from OS entropy per new generator.
+    """
     rows = np.empty((trials, -(-words // 2)), "<u8")
+    gen = np.random.Philox(key=np.array([seed & UINT64_MASK, t0], dtype=np.uint64))
+    state = gen.state
     for i in range(trials):
-        key = np.array([seed & UINT64_MASK, t0 + i], dtype=np.uint64)
-        rows[i] = np.random.Philox(key=key).random_raw(rows.shape[1])
+        state["state"]["key"][1] = t0 + i
+        gen.state = state
+        rows[i] = gen.random_raw(rows.shape[1])
     return rows.view(np.uint8)
 
 

@@ -21,6 +21,7 @@ from localcut.analysis import (
     appendix_report_json,
     binomial_row,
     bound_report_json,
+    fmt_float,
     format_bound_report_json,
     offset_ratio,
     optimal_tau,
@@ -35,6 +36,8 @@ from localcut.analysis import (
     verify_theorem_bound,
     write_alpha_sweep_csv,
     write_tau_opt_csv,
+    _alpha_float,
+    _bound_decision,
     _decide,
     _gains,
 )
@@ -243,6 +246,7 @@ def test_bound_check_gain_and_reported_alpha():
     for c, row in zip(report.checks, rows, strict=True):
         assert c.gain == (c.alpha - Fraction(1, 2)) * 4 ** (c.degree - 1)
         assert row["d"] == c.degree and row["alpha_float"] == float(c.alpha)
+        assert row["bound_float"] == threshold_bound(c.degree).to_float()
 
 
 @pytest.mark.parametrize("d_max", [*range(2, 41), 3000])
@@ -279,6 +283,36 @@ def test_bound_checks_store_the_gain_and_not_the_margin():
     for c in verify_theorem_bound(40).checks:
         assert c.margin == c.gain**2 * 1024 * c.degree - 81 * 16 ** (c.degree - 1)
         assert (c.passed, c.equality) == (c.margin >= 0, c.margin == 0)
+
+
+def _exact_decision(gain, d):
+    margin = gain * gain * 1024 * d - 81 * 16 ** (d - 1)
+    return margin >= 0, margin == 0
+
+
+def test_bound_decision_at_the_boundary():
+    # the gains around the real root of gain^2 * 1024 * d = 81 * 16^(d-1); at
+    # d = 4 the root is the integer 9, the equality gain
+    assert _bound_decision(9, 4) == (True, True)
+    # every degree to 2000, then a sample to 10000 (20000-bit gains)
+    for d in [*range(2, 2001), *range(2001, 10_001, 37), 10_000]:
+        root = math.isqrt(81 * 16 ** (d - 1) // (1024 * d))
+        # and gains off the root in their 40th leading bit, which the
+        # 64-bit bracket decides without the exact margin
+        wide = root >> 40
+        for gain in {root - 1, root, root + 1, root + 2, root - wide, root + wide}:
+            if gain >= 0:
+                assert _bound_decision(gain, d) == _exact_decision(gain, d), (d, gain)
+
+
+@given(st.integers(min_value=2, max_value=400), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bound_decision_matches_the_exact_margin(d, data):
+    # gains of every bit length to 4^(d-1) and far past it, where the
+    # bracket keeps more than 64 bits so as not to shift the right side
+    bits = data.draw(st.integers(min_value=0, max_value=2 * d + 80))
+    gain = data.draw(st.integers(min_value=0, max_value=1 << bits))
+    assert _bound_decision(gain, d) == _exact_decision(gain, d)
 
 
 def test_verify_theorem_bound_validation():
@@ -454,6 +488,23 @@ def test_tau_opt_csv():
     assert row["d"] == "4" and row["tau_opt"] == "3" and row["tau_formula"] == "3"
     assert float(row["alpha_opt_float"]) == pytest.approx(41 / 64)
     assert float(row["our_bound_float"]) == pytest.approx(41 / 64)
+
+
+def test_tau_opt_csv_floats_match_the_exact_values():
+    buf = io.StringIO()
+    write_tau_opt_csv(buf, range(2, 3001))
+    lines = buf.getvalue().splitlines()[1:]
+    assert len(lines) == 2999
+    for d, line in zip(range(2, 3001), lines, strict=True):
+        value = optimal_tau(d)[1]
+        gain = (value - Fraction(1, 2)) * 4 ** (d - 1)
+        assert gain.denominator == 1
+        assert _alpha_float(gain.numerator, d) == float(value)
+        assert line.split(",")[3:] == [
+            fmt_float(float(value)),
+            fmt_float(threshold_bound(d).to_float()),
+            fmt_float(shearer_bound(d).to_float()),
+        ], d
 
 
 def test_report_json_shapes():

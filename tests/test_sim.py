@@ -355,6 +355,16 @@ def test_generator_attempt_counts_are_pinned(caplog, generate, args, attempts):
     assert rec.args[0] == attempts
 
 
+def test_rejected_draws_are_not_explained(monkeypatch):
+    # naming a draw's first repeated edge is left to from_edges' callers; the
+    # rejection loop only needs to know that one exists
+    want = random_bipartite_regular(100, 4, 0xC0FFEE)  # 260 attempts
+    monkeypatch.setattr(sim, "_first_repeat", lambda *a: pytest.fail("explained a draw"))
+    assert random_bipartite_regular(100, 4, 0xC0FFEE) == want
+    with pytest.raises(pytest.fail.Exception):
+        from_edges(3, 2, [(0, 1), (1, 0)])
+
+
 def test_random_bipartite_errors():
     with pytest.raises(ValueError, match="n_per_side >= d"):
         random_bipartite_regular(2, 3, seed=0)
@@ -607,6 +617,19 @@ def test_block_kernel_matches_chained_draws(seed, sizes, monkeypatch):
         rng = make_trial_rng(seed, t0 + i)
         for a, n in zip(block, sizes):
             assert np.array_equal(a[:, i], draw_bits(rng, n))
+
+
+def test_the_c_route_builds_one_generator_a_block(monkeypatch):
+    # each trial resets one generator's state, which matches a fresh
+    # Philox(key=...) without seeding a new one from OS entropy
+    philox, made = np.random.Philox, []
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(k) or philox(*a, **k))
+    for seed in KERNEL_SEEDS:
+        rows = sim._c_philox_bytes(seed, 2**40, 5, 7).view("<u8")
+        for i, row in enumerate(rows):
+            key = np.array([seed % 2**64, 2**40 + i], dtype=np.uint64)
+            assert np.array_equal(row, philox(key=key).random_raw(4))
+    assert len(made) == len(KERNEL_SEEDS)
 
 
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
