@@ -64,7 +64,6 @@ from .sim import (
     cycle_graph,
     empirical_joint_distribution,
     from_edges,
-    gen_fixed,
     hypercube_graph,
     monte_carlo,
     petersen_graph,
@@ -105,7 +104,6 @@ __all__ = [
     "format_ngraph_table",
     "format_wcnf",
     "from_edges",
-    "gen_fixed",
     "hypercube_graph",
     "matching_threshold",
     "monte_carlo",

@@ -23,7 +23,7 @@ import secrets
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import List, Optional, TextIO
+from typing import List, Optional
 
 from . import analysis, cutsearch, ngraph, sim
 
@@ -32,11 +32,34 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_DMAX = 3000
 DEFAULT_PRECISION_CAP = 4096
 
-# the graph options of simulate and gen-graph, and those each --family reads
+# the graph options of simulate and gen-graph
 GRAPH_OPTIONS = {"--n": "n", "--d": "d", "--in": "infile"}
-FAMILY_OPTIONS = {
-    "kdd": ("--d",), "cycle": ("--n",), "hypercube": ("--d",), "petersen": (),
-    "bipartite": ("--n", "--d"), "triangle-free": ("--n", "--d"), "file": ("--in",),
+
+
+def _read_graph(args: argparse.Namespace, seed: int) -> sim.RegularGraph:
+    with open(args.infile) as fh:
+        return sim.read_edge_list(fh)
+
+
+# each --family: the graph options it reads, and its builder (args, seed) ->
+# graph. Builders and specs look `sim` up when called, so they run whatever
+# a tracer or a test has put in its place.
+FAMILIES = {
+    "kdd": (("--d",), lambda a, seed: sim.complete_bipartite(a.d)),
+    "cycle": (("--n",), lambda a, seed: sim.cycle_graph(a.n)),
+    "hypercube": (("--d",), lambda a, seed: sim.hypercube_graph(a.d)),
+    "petersen": ((), lambda a, seed: sim.petersen_graph()),
+    "bipartite": (("--n", "--d"), lambda a, seed: sim.random_bipartite_regular(a.n, a.d, seed)),
+    "triangle-free": (("--n", "--d"), lambda a, seed: sim.random_triangle_free(a.n, a.d, seed)),
+    "file": (("--in",), _read_graph),
+}
+
+# each --alg: whether it reads --tau, and its spec from tau
+ALGORITHMS = {
+    "uniform": (False, lambda tau: sim.UniformCut()),
+    "threshold": (True, lambda tau: sim.ThresholdCut(tau)),
+    "shearer": (False, lambda tau: sim.ShearerCut()),
+    "virtual": (True, lambda tau: sim.VirtualNeighbourCut(tau)),
 }
 
 
@@ -98,13 +121,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     degrees = _parse_degree_range(args.d)
     over = [d for d in degrees if d > cutsearch.BRUTE_FORCE_MAX_DEGREE]
     if over:
-        print(
-            f"error: exhaustive search is capped at d = "
-            f"{cutsearch.BRUTE_FORCE_MAX_DEGREE} (asked for d = {over[0]}); "
-            "use the export-wcnf subcommand and an external MaxSAT solver",
-            file=sys.stderr,
+        raise ValueError(
+            f"exhaustive search is capped at d = {cutsearch.BRUTE_FORCE_MAX_DEGREE} "
+            f"(asked for d = {over[0]}); use the export-wcnf subcommand and an "
+            "external MaxSAT solver"
         )
-        return 2
     rows = []
     for d in degrees:
         g = ngraph.build_ngraph(d)
@@ -167,10 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.bound == (args.appendix is not None):
-        print(
-            "error: pass exactly one of --bound or --appendix", file=sys.stderr
-        )
-        return 2
+        raise ValueError("pass exactly one of --bound or --appendix")
     # each mode's option is a usage error in the other mode
     if args.bound and args.precision_cap is not None:
         raise ValueError("--precision-cap does not apply to --bound")
@@ -200,7 +218,7 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
     out by one that does, is a usage error.
     """
     family = args.family
-    reads = FAMILY_OPTIONS[family]
+    reads, build = FAMILIES[family]
     given = [flag for flag, dest in GRAPH_OPTIONS.items() if getattr(args, dest, None) is not None]
     stray = [flag for flag in given if flag not in reads]
     if stray:
@@ -212,59 +230,22 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
     if args.entropy:
         seed = secrets.randbits(64)
         print(f"entropy seed: {seed}", file=sys.stderr)
-    if family == "bipartite":
-        return sim.random_bipartite_regular(args.n, args.d, seed), seed
-    if family == "triangle-free":
-        return sim.random_triangle_free(args.n, args.d, seed), seed
-    if family == "file":
-        with open(args.infile) as fh:
-            return sim.read_edge_list(fh), seed
-    return sim.gen_fixed(family, d=args.d, n=args.n), seed
-
-
-def _build_algorithm(args: argparse.Namespace, g: sim.RegularGraph):
-    if args.alg == "uniform":
-        return sim.UniformCut()
-    tau = args.tau
-    if tau is None and args.alg in ("threshold", "virtual"):
-        tau = analysis.optimal_tau(g.degree)[0]
-        print(f"using optimal tau = {tau} for d = {g.degree}", file=sys.stderr)
-    if args.alg == "threshold":
-        return sim.ThresholdCut(tau)
-    if args.alg == "shearer":
-        return sim.ShearerCut()
-    if args.alg == "virtual":
-        return sim.VirtualNeighbourCut(tau)
-    raise ValueError(f"unknown algorithm {args.alg!r}")
+    return build(args, seed), seed
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.tau is not None and args.alg in ("uniform", "shearer"):
+    reads_tau, spec = ALGORITHMS[args.alg]
+    if args.tau is not None and not reads_tau:
         raise ValueError(f"--tau does not apply to --alg {args.alg}")
     g, seed = _build_graph(args)
-    alg = _build_algorithm(args, g)
-    stats = sim.monte_carlo(g, alg, args.trials, seed, per_edge=args.per_edge)
+    tau = args.tau
+    if reads_tau and tau is None:
+        tau = analysis.optimal_tau(g.degree)[0]
+        print(f"using optimal tau = {tau} for d = {g.degree}", file=sys.stderr)
+    stats = sim.monte_carlo(g, spec(tau), args.trials, seed, per_edge=args.per_edge)
     with _output(args.out) as fh:
-        if args.format == "json":
-            json.dump(sim.trial_stats_jsonable(stats), fh, indent=2)
-            fh.write("\n")
-        elif args.format == "csv":
-            sim.write_trial_stats_csv(fh, stats)
-        else:
-            fh.write(
-                f"trials={stats.trials} mean={stats.mean:.15g} "
-                f"stderr={stats.stderr:.15g} seed={stats.seed} "
-                f"edge_count={stats.edge_count}\n"
-            )
-            if stats.flagged_edge_mean is not None:
-                fh.write(
-                    f"clean_edge_mean={stats.clean_edge_mean:.15g} "
-                    f"flagged_edge_mean={stats.flagged_edge_mean:.15g} "
-                    f"flagged_edge_fraction={stats.flagged_edge_fraction:.15g}\n"
-                )
-            if stats.per_edge is not None:
-                for (u, v), c in stats.per_edge.items():
-                    fh.write(f"edge {u} {v} {c} {c / stats.trials:.15g}\n")
+        # sim.write_trial_stats_json, _csv or _text
+        getattr(sim, f"write_trial_stats_{args.format}")(fh, stats)
     return 0
 
 
@@ -380,14 +361,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="Monte Carlo run of a one-round algorithm on a graph"
     )
-    p.add_argument("--family", required=True, choices=tuple(FAMILY_OPTIONS))
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
     p.add_argument("--n", type=int, help="size parameter where the family needs it")
     p.add_argument("--in", dest="infile", metavar="PATH", help="edge list for --family file")
     p.add_argument(
         "--alg",
         required=True,
-        choices=("uniform", "threshold", "shearer", "virtual"),
+        choices=tuple(ALGORITHMS),
     )
     p.add_argument(
         "--tau",
@@ -407,7 +388,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-graph", help="generate a graph and emit its edge list")
-    p.add_argument("--family", required=True, choices=[f for f in FAMILY_OPTIONS if f != "file"])
+    p.add_argument("--family", required=True, choices=[f for f in FAMILIES if f != "file"])
     p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
     p.add_argument("--n", type=int, help="size parameter where the family needs it")
     add_seed(p)

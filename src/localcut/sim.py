@@ -16,6 +16,7 @@ towards l(v) when c1(u) == c1(v).
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import re
@@ -192,20 +193,6 @@ def petersen_graph() -> RegularGraph:
     # outer cycle, spokes, inner pentagram
     edges = [e for i in range(5) for e in ((i, (i + 1) % 5), (i, 5 + i), (5 + i, 5 + (i + 2) % 5))]
     return from_edges(10, 3, edges)
-
-
-def gen_fixed(family: str, *, d: Optional[int] = None, n: Optional[int] = None) -> RegularGraph:
-    """Deterministic test instances by family name."""
-    if family == "petersen":
-        return petersen_graph()
-    builders = {"kdd": (complete_bipartite, d, "d"), "cycle": (cycle_graph, n, "n"),
-                "hypercube": (hypercube_graph, d, "d (the dimension)")}
-    if family not in builders:
-        raise ValueError(f"unknown family {family!r}; expected kdd, cycle, hypercube, or petersen")
-    build, arg, name = builders[family]
-    if arg is None:
-        raise ValueError(f"family {family} needs {name}")
-    return build(arg)
 
 
 def _first_strict(
@@ -694,11 +681,16 @@ def empirical_joint_distribution(
 
 
 # ---------------------------------------------------------------------------
-# TrialStats emitters
+# TrialStats emitters: json, csv and text, one format each
 
 
 def _scalars(stats: TrialStats) -> dict:
     return {f: getattr(stats, f) for f in TrialStats.__dataclass_fields__ if f != "per_edge"}
+
+
+def _value(x) -> str:
+    """A scalar as csv and text print it: floats to 15 significant digits."""
+    return "" if x is None else f"{x:.15g}" if isinstance(x, float) else str(x)
 
 
 def trial_stats_jsonable(stats: TrialStats) -> dict:
@@ -711,6 +703,11 @@ def trial_stats_jsonable(stats: TrialStats) -> dict:
     return doc
 
 
+def write_trial_stats_json(fh: TextIO, stats: TrialStats) -> None:
+    json.dump(trial_stats_jsonable(stats), fh, indent=2)
+    fh.write("\n")
+
+
 def write_trial_stats_csv(fh: TextIO, stats: TrialStats) -> None:
     """Scalar row first; per-edge counts follow as a second block if present.
 
@@ -719,11 +716,23 @@ def write_trial_stats_csv(fh: TextIO, stats: TrialStats) -> None:
     """
     row = _scalars(stats)
     fh.write(",".join(row) + "\n")
-    fh.write(",".join(
-        "" if x is None else f"{x:.15g}" if isinstance(x, float) else str(x)
-        for x in row.values()
-    ) + "\n")
+    fh.write(",".join(map(_value, row.values())) + "\n")
     if stats.per_edge is not None:
         fh.write("u,v,cut_count,frequency\n")
         for (u, v), c in stats.per_edge.items():
             fh.write(f"{u},{v},{c},{c / stats.trials:.15g}\n")
+
+
+def write_trial_stats_text(fh: TextIO, stats: TrialStats) -> None:
+    """The run's `name=value` pairs on one line, the split's set ones on a second.
+
+    The second line is left out on a strict graph, as JSON leaves the split
+    out; `edge u v cut_count frequency` lines follow if per-edge counts are present.
+    """
+    items = [f"{k}={_value(x)}" for k, x in _scalars(stats).items() if x is not None]
+    fh.write(" ".join(items[:5]) + "\n")  # trials to edge_count, always set
+    if items[5:]:
+        fh.write(" ".join(items[5:]) + "\n")
+    if stats.per_edge is not None:
+        for (u, v), c in stats.per_edge.items():
+            fh.write(f"edge {u} {v} {c} {c / stats.trials:.15g}\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 from localcut import analysis, cli, ngraph
 from localcut.cli import main
+from localcut.sim import write_edge_list
 import oracles
 
 OPTIMAL_TAU_TABLE = [
@@ -131,9 +133,12 @@ def test_solve_json(capsys):
 
 
 def test_solve_above_cap_points_to_wcnf(capsys):
-    code, _, err = run(capsys, "solve", "--d", "17")
-    assert code == 2
-    assert "export-wcnf" in err
+    code, out, err = run(capsys, "solve", "--d", "17")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: exhaustive search is capped at d = 16 (asked for d = 17); "
+        "use the export-wcnf subcommand and an external MaxSAT solver\n"
+    )
 
 
 def test_solve_rejects_bad_ranges(capsys):
@@ -218,8 +223,8 @@ def test_verify_appendix(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    assert run(capsys, "verify")[0] == 2
-    assert run(capsys, "verify", "--bound", "--appendix", "1500")[0] == 2
+    for argv in (["verify"], ["verify", "--bound", "--appendix", "1500"]):
+        assert run(capsys, *argv) == (2, "", "error: pass exactly one of --bound or --appendix\n")
     assert run(capsys, "verify", "--bound", "--dmax", "1")[0] == 2
     assert run(capsys, "verify", "--appendix", "1499")[0] == 2
     assert run(capsys, "verify", "--appendix", "xyz")[0] == 2
@@ -324,9 +329,52 @@ def test_simulate_csv_and_text_formats(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("trials,mean,stderr,seed,edge_count")
     assert lines[1].split(",")[0] == "500"
-    code, out, _ = run(capsys, *base, "--format", "text")
+    assert run(capsys, *base, "--format", "text") == (
+        0, "trials=500 mean=0.626666666666667 stderr=0.00557054313244856 seed=4 edge_count=15\n", ""
+    )
+
+
+def test_simulate_text_per_edge_with_clean_and_flagged_edges(capsys, tmp_path):
+    path = tmp_path / "tri.txt"
+    path.write_text("4 4 3\n0 1\n0 2\n1 2\n2 3\n")  # a triangle and one clean edge
+    assert run(
+        capsys, "simulate", "--family", "file", "--in", str(path), "--alg", "virtual",
+        "--trials", "200", "--seed", "3", "--per-edge", "--format", "text",
+    ) == (
+        0,
+        "trials=200 mean=0.64 stderr=0.0117072755800629 seed=3 edge_count=4\n"
+        "clean_edge_mean=0.71 flagged_edge_mean=0.616666666666667 flagged_edge_fraction=0.75\n"
+        "edge 0 1 129 0.645\n"
+        "edge 0 2 119 0.595\n"
+        "edge 1 2 122 0.61\n"
+        "edge 2 3 142 0.71\n",
+        "using optimal tau = 3 for d = 3\n",
+    )
+
+
+def test_simulate_text_virtual_on_the_star(capsys, tmp_path):
+    path = tmp_path / "star.txt"
+    path.write_text("4 3 3\n0 1\n0 2\n0 3\n")
+    assert run(
+        capsys, "simulate", "--family", "file", "--in", str(path), "--alg", "virtual",
+        "--tau", "3", "--trials", "3000", "--seed", "2", "--format", "text",
+    ) == (0, "trials=3000 mean=0.685555555555556 stderr=0.00440382871686404 seed=2 edge_count=3\n", "")
+
+
+@pytest.mark.parametrize("alg", ["uniform", "virtual"])
+def test_simulate_text_when_every_edge_is_flagged(capsys, tmp_path, alg):
+    # K4: every edge lies in a triangle, so no clean-edge mean is printed
+    path = tmp_path / "k4.txt"
+    path.write_text("4 6 3\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, _ = run(
+        capsys, "simulate", "--family", "file", "--in", str(path), "--alg", alg,
+        "--trials", "10", "--format", "text",
+    )
     assert code == 0
-    assert out.startswith("trials=500 mean=")
+    assert out == (
+        "trials=10 mean=0.35 stderr=0.0976577546180386 seed=12648430 edge_count=6\n"
+        "flagged_edge_mean=0.35 flagged_edge_fraction=1\n"
+    )
 
 
 def test_simulate_per_edge(capsys):
@@ -480,13 +528,25 @@ def test_simulate_budget_exhaustion_is_exit_1(capsys, monkeypatch):
 
 
 def test_gen_graph_round_trips(capsys, tmp_path):
-    import io
-
     from localcut.sim import complete_bipartite, read_edge_list
 
     code, out, _ = run(capsys, "gen-graph", "--family", "kdd", "--d", "3")
     assert code == 0
     assert read_edge_list(io.StringIO(out)) == complete_bipartite(3)
+
+
+def test_gen_graph_prints_each_fixed_familys_builder(capsys):
+    from localcut.sim import complete_bipartite, cycle_graph, hypercube_graph, petersen_graph
+
+    for argv, g in [
+        (["kdd", "--d", "3"], complete_bipartite(3)),
+        (["cycle", "--n", "6"], cycle_graph(6)),
+        (["hypercube", "--d", "4"], hypercube_graph(4)),
+        (["petersen"], petersen_graph()),
+    ]:
+        expected = io.StringIO()
+        write_edge_list(expected, g)
+        assert run(capsys, "gen-graph", "--family", *argv) == (0, expected.getvalue(), "")
 
 
 def test_gen_graph_to_file_with_seed(capsys, tmp_path):

@@ -31,7 +31,6 @@ from localcut.sim import (
     draw_bits,
     empirical_joint_distribution,
     from_edges,
-    gen_fixed,
     hypercube_graph,
     labels_from_bits,
     make_trial_rng,
@@ -95,19 +94,6 @@ def test_petersen_graph():
         for v in range(u + 1, 10):
             common = set(g.nbr[u].tolist()) & set(g.nbr[v].tolist())
             assert len(common) <= 1
-
-
-def test_gen_fixed_dispatch():
-    assert gen_fixed("kdd", d=3) == complete_bipartite(3)
-    assert gen_fixed("cycle", n=6) == cycle_graph(6)
-    assert gen_fixed("hypercube", d=4) == hypercube_graph(4)
-    assert gen_fixed("petersen") == petersen_graph()
-    with pytest.raises(ValueError, match="unknown family"):
-        gen_fixed("torus")
-    with pytest.raises(ValueError, match="needs d"):
-        gen_fixed("kdd")
-    with pytest.raises(ValueError, match="needs n"):
-        gen_fixed("cycle")
 
 
 def test_from_edges_validation():
