@@ -365,11 +365,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
     p.add_argument("--n", type=int, help="size parameter where the family needs it")
     p.add_argument("--in", dest="infile", metavar="PATH", help="edge list for --family file")
-    p.add_argument(
-        "--alg",
-        required=True,
-        choices=tuple(ALGORITHMS),
-    )
+    p.add_argument("--alg", required=True, choices=tuple(ALGORITHMS))
     p.add_argument(
         "--tau",
         type=int,
