@@ -51,7 +51,6 @@ from .ngraph import (
     build_ngraph,
     format_ngraph_json,
     format_ngraph_table,
-    parse_ngraph_table,
 )
 from .sim import (
     RegularGraph,
@@ -109,7 +108,6 @@ __all__ = [
     "monte_carlo",
     "optimal_tau",
     "optimal_taus",
-    "parse_ngraph_table",
     "petersen_graph",
     "random_bipartite_regular",
     "random_triangle_free",

@@ -84,10 +84,11 @@ def alpha_sweep(d: int) -> list[AlphaValue]:
     return [AlphaValue(d, tau, HALF + Fraction(g, scale)) for tau, g in zip(taus, gains)]
 
 
-def _optimum_gain(d: int) -> tuple[list[int], int]:
+def _optimum_gain(d: int, c: int | None = None) -> tuple[list[int], int]:
     """Every tau maximising alpha(tau, d), ascending, and the maximum gain.
 
     The gain is (alpha - 1/2) * 4^(d-1), an integer; the caller checks d.
+    `c` is C(d-1, floor(d/2)) if the caller has it, else it is computed.
     Walks tau up from floor(d/2) + 1 with c = C(n, tau-1), n = d - 1, and
     the window sum S = P(tau-1) - P(d-tau), so the gain is c * S.  One step adds
     C(n, d-tau-1) = C(n, tau) on the left and C(n, tau-1) on the right.  S
@@ -97,7 +98,8 @@ def _optimum_gain(d: int) -> tuple[list[int], int]:
     """
     n = d - 1
     tau = d // 2 + 1
-    c = math.comb(n, tau - 1)
+    if c is None:
+        c = math.comb(n, tau - 1)
     window = c if d % 2 == 0 else 0
     best, winners = c * window, [tau]
     while tau < d:  # tau = d + 1 gains 0
@@ -523,12 +525,23 @@ def _alpha_float(gain: int, d: int) -> float:
 
 
 def write_tau_opt_csv(fh: IO[str], d_values: Iterable[int]) -> list[tuple[int, list[int]]]:
-    """Optimal-threshold table; returns [(d, taus)] for any degrees with ties."""
+    """Optimal-threshold table; returns [(d, taus)] for any degrees with ties.
+
+    C(d-1, floor(d/2)) is carried from one degree to the next, d - 1 to d, as
+    C(d-2, floor((d-1)/2)) * (d-1) / floor(d/2); `math.comb` computes it only
+    at the first degree and after a gap or a step down.
+    """
     fh.write(TAU_OPT_COLUMNS + "\n")
     ours, shearer = float(THRESHOLD_COEFF_SQ), float(SHEARER_COEFF_SQ)  # to_float's, once
     ties = []
+    prev = c = 0  # degrees are >= 2, so the first one computes c
     for d in map(check_degree, d_values):
-        taus, best = _optimum_gain(d)
+        if d == prev + 1:
+            c = c * (d - 1) // (d // 2)
+        elif d != prev:
+            c = math.comb(d - 1, d // 2)
+        prev = d
+        taus, best = _optimum_gain(d, c)
         if len(taus) > 1:
             ties.append((d, taus))
         fh.write(

@@ -8,6 +8,7 @@ run the distributed algorithms on concrete graphs, and generate test graphs.
 Conventions shared by every subcommand:
   * the default seed is the constant 0xC0FFEE; pass --entropy for a fresh
     OS-entropy seed (printed to stderr so the run can be reproduced);
+    gen-graph refuses --seed and --entropy for a family that reads no seed;
   * no environment variables are read;
   * like counts use the equality convention: a neighbour u of v is
     like-minded when c(u) == c(v);
@@ -41,17 +42,21 @@ def _read_graph(args: argparse.Namespace, seed: int) -> sim.RegularGraph:
         return sim.read_edge_list(fh)
 
 
-# each --family: the graph options it reads, and its builder (args, seed) ->
-# graph. Builders and specs look `sim` up when called, so they run whatever
-# a tracer or a test has put in its place.
+# each --family: the graph options it reads, whether its builder reads the
+# seed, and its builder (args, seed) -> graph. Builders and specs look `sim`
+# up when called, so they run whatever a tracer or a test has put in its place.
 FAMILIES = {
-    "kdd": (("--d",), lambda a, seed: sim.complete_bipartite(a.d)),
-    "cycle": (("--n",), lambda a, seed: sim.cycle_graph(a.n)),
-    "hypercube": (("--d",), lambda a, seed: sim.hypercube_graph(a.d)),
-    "petersen": ((), lambda a, seed: sim.petersen_graph()),
-    "bipartite": (("--n", "--d"), lambda a, seed: sim.random_bipartite_regular(a.n, a.d, seed)),
-    "triangle-free": (("--n", "--d"), lambda a, seed: sim.random_triangle_free(a.n, a.d, seed)),
-    "file": (("--in",), _read_graph),
+    "kdd": (("--d",), False, lambda a, seed: sim.complete_bipartite(a.d)),
+    "cycle": (("--n",), False, lambda a, seed: sim.cycle_graph(a.n)),
+    "hypercube": (("--d",), False, lambda a, seed: sim.hypercube_graph(a.d)),
+    "petersen": ((), False, lambda a, seed: sim.petersen_graph()),
+    "bipartite": (
+        ("--n", "--d"), True, lambda a, seed: sim.random_bipartite_regular(a.n, a.d, seed)
+    ),
+    "triangle-free": (
+        ("--n", "--d"), True, lambda a, seed: sim.random_triangle_free(a.n, a.d, seed)
+    ),
+    "file": (("--in",), False, _read_graph),
 }
 
 # each --alg: whether it reads --tau, and its spec from tau
@@ -218,7 +223,7 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
     out by one that does, is a usage error.
     """
     family = args.family
-    reads, build = FAMILIES[family]
+    reads, _, build = FAMILIES[family]
     given = [flag for flag, dest in GRAPH_OPTIONS.items() if getattr(args, dest, None) is not None]
     stray = [flag for flag in given if flag not in reads]
     if stray:
@@ -226,7 +231,7 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
     missing = [flag for flag in reads if flag not in given]
     if missing:
         raise ValueError(f"family {family} needs {' and '.join(missing)}")
-    seed = args.seed
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.entropy:
         seed = secrets.randbits(64)
         print(f"entropy seed: {seed}", file=sys.stderr)
@@ -250,6 +255,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_graph(args: argparse.Namespace) -> int:
+    # only the graph reads the seed here, so a family that ignores it refuses it
+    if not FAMILIES[args.family][1] and (args.seed is not None or args.entropy):
+        option = "--entropy" if args.entropy else "--seed"
+        raise ValueError(f"{option} does not apply to --family {args.family}")
     g, _ = _build_graph(args)
     with _output(args.out) as fh:
         sim.write_edge_list(fh, g)
@@ -281,10 +290,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     def add_seed(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group()  # --seed with --entropy is a usage error
-        group.add_argument(
+        group.add_argument(  # None when not given, so gen-graph can refuse it
             "--seed",
             type=_seed,
-            default=DEFAULT_SEED,
             help=f"master seed in 0..2^64-1 (default {DEFAULT_SEED:#x})",
         )
         group.add_argument(

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from functools import cached_property
+from typing import Dict, Iterator
 
 from .ngraph import (
     Neighbourhood, WeightedNgraph, all_neighbourhoods, check_degree, check_tau, complement_side,
@@ -161,7 +162,7 @@ class WcnfClause:
 
 @dataclass(frozen=True)
 class WcnfDocument:
-    """Weighted CNF whose optimum encodes the maximum cut.
+    """Weighted CNF whose optimum encodes the maximum cut of `graph`.
 
     One boolean variable per neighbourhood-graph node (true = label 'a').
     Every unordered node pair with nonzero weight contributes the clause pair
@@ -170,48 +171,84 @@ class WcnfDocument:
     the graph's total integer edge weight plus the scaled cut weight.  Clause
     weights merge both directed weights of the pair, keeping that identity
     exact in the directed convention.
+
+    Every count is a closed form in d.  The directed weights * 4^d sum to
+    4^d, so the clause weights sum to 2 * 4^d and `top` is 2 * 4^d + 1.
+    The nonzero profile entries are cross[0..d-1] and same[1..d], so d^2
+    pairs across the sides and d(d + 1) / 2 on each side are nonzero:
+    2 * (2d^2 + d) clauses.  `clauses` is built only when read.
     """
 
-    degree: int
-    variable_count: int
-    clauses: tuple[WcnfClause, ...]
-    var_nodes: tuple[Neighbourhood, ...]
+    graph: WeightedNgraph
+
+    @property
+    def degree(self) -> int:
+        return self.graph.degree
+
+    @property
+    def variable_count(self) -> int:
+        return 2 * self.graph.degree + 2
+
+    @property
+    def var_nodes(self) -> tuple[Neighbourhood, ...]:
+        return tuple(self.graph.nodes)
+
+    @property
+    def clause_count(self) -> int:
+        d = self.graph.degree
+        return 2 * (2 * d * d + d)
 
     @property
     def top(self) -> int:
         # All clauses are soft; top just needs to exceed their total weight.
-        return 1 + sum(c.weight for c in self.clauses)
+        return 1 + 2 * 4**self.graph.degree
+
+    @cached_property
+    def clauses(self) -> tuple[WcnfClause, ...]:
+        return tuple(
+            c
+            for u, row in _clause_rows(self.graph)
+            for v, w in row
+            for c in (WcnfClause(w, (u, v)), WcnfClause(w, (-u, -v)))
+        )
+
+
+def _clause_rows(g: WeightedNgraph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(u, [(v, w), ...]) per variable u: its nonzero pairs with v >= u, in file order.
+
+    Variable u = side * (d + 1) + i + 1 is node (side, i).  A pair on one
+    side merges same[i] * same[j] from both directions, so w doubles unless
+    i = j; a pair across the sides merges 2 * cross[i] * cross[j].
+    """
+    k = g.degree + 1
+    same, cross = g.same, g.cross
+    for side in (0, 1):
+        base = side * k + 1
+        for i, s in enumerate(same):
+            row = []
+            if s:
+                row.append((base + i, s * s))
+                s2 = 2 * s
+                row += [(base + j, s2 * t) for j, t in enumerate(same[i + 1:], i + 1) if t]
+            if side == 0 and cross[i]:
+                c2 = 2 * cross[i]
+                row += [(k + 1 + j, c2 * t) for j, t in enumerate(cross) if t]
+            yield base + i, row
 
 
 def export_wcnf(g: WeightedNgraph) -> WcnfDocument:
-    d = g.degree
-    nodes = g.nodes
-    index = {n: i + 1 for i, n in enumerate(nodes)}  # DIMACS vars are 1-based
-    clauses = []
-    for i, n1 in enumerate(nodes):
-        for n2 in nodes[i:]:
-            w = g.scaled(n1, n2)
-            if n1 != n2:
-                w += g.scaled(n2, n1)
-            if w == 0:
-                continue
-            u, v = index[n1], index[n2]
-            clauses.append(WcnfClause(w, (u, v)))
-            clauses.append(WcnfClause(w, (-u, -v)))
-    return WcnfDocument(
-        degree=d,
-        variable_count=len(nodes),
-        clauses=tuple(clauses),
-        var_nodes=tuple(nodes),
-    )
+    return WcnfDocument(g)
 
 
 def format_wcnf(doc: WcnfDocument) -> str:
-    """DIMACS WCNF text: comments, `p wcnf` header, one clause per line."""
+    """DIMACS WCNF text: comments, `p wcnf` header, one clause per line.
+
+    Written row by row from the graph's two profiles; `doc.clauses` is not
+    built.
+    """
     lines = [f"c d = {doc.degree}"]
-    for i, n in enumerate(doc.var_nodes, start=1):
-        lines.append(f"c var {i} = ({n.side},{n.like_count})")
-    lines.append(f"p wcnf {doc.variable_count} {len(doc.clauses)} {doc.top}")
-    for c in doc.clauses:
-        lines.append(f"{c.weight} {c.literals[0]} {c.literals[1]} 0")
+    lines += [f"c var {i} = ({n.side},{n.like_count})" for i, n in enumerate(doc.graph.nodes, 1)]
+    lines.append(f"p wcnf {doc.variable_count} {doc.clause_count} {doc.top}")
+    for u, row in _clause_rows(doc.graph):  # w printed once for both clauses
+        lines += [f"{w} {u} {v} 0\n{w} -{u} -{v} 0" for v, w in row for w in [str(w)]]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ binomial counts over 4^d, and they sum to exactly 1.
 
 Everything here is exact: the graph holds the two integer binomial profiles
 whose products are the weights * 4^d, and hands out `fractions.Fraction`
-values over 4^d.
+values over 4^d.  The writers reduce each weight without a gcd, from the
+2-adic form o * 2^e (o odd) of every profile entry.
 """
 
 from __future__ import annotations
@@ -128,8 +129,12 @@ class WeightedNgraph:
         return Fraction(self.scaled(n1, n2), 4**self.degree)
 
     def total_weight(self) -> Fraction:
-        nodes = self.nodes
-        total = sum(self.scaled(n1, n2) for n1 in nodes for n2 in nodes)
+        """Sum of every ordered pair's weight: 2 * ((sum cross)^2 + (sum same)^2) / 4^d.
+
+        Two ordered side pairs read `same` and two read `cross`, and each sums
+        to the square of its profile's total.
+        """
+        total = 2 * (sum(self.cross) ** 2 + sum(self.same) ** 2)
         return Fraction(total, 4**self.degree)
 
 
@@ -140,21 +145,36 @@ def build_ngraph(d: int) -> WeightedNgraph:
     return WeightedNgraph(degree=d, cross=row + (0,), same=(0,) + row)
 
 
-def _reduced_rows(g: WeightedNgraph):
-    """(n1, [(n2, num, den) for every n2]) per node n1, num/den in lowest terms.
+def _two_adic(p: int) -> tuple[int, int]:
+    """(o, e) with p = o * 2^e and o odd, for p > 0; (0, 0) for p = 0."""
+    e = (p & -p).bit_length() - 1 if p else 0
+    return p >> e, e
 
-    Reads `g.scaled` and divides out gcd(scaled, 4^d), which is what
-    `Fraction(scaled, 4^d)` would reduce to, without building one.
+
+def _weight_rows(g: WeightedNgraph, sep: str) -> list[list[str]]:
+    """Per node n1, the weight of (n1, n2) for every n2 as `num{sep}den`, lowest terms.
+
+    With every nonzero profile entry written p = o * 2^e, o odd, the pair
+    weight p1 * p2 / 4^d is o1 * o2 / 2^(2d - e1 - e2): an odd numerator
+    over a power of two, so already in lowest terms, with no gcd taken.  A
+    zero weight is `0{sep}1`.  A row halves into the n2 on n1's side, which
+    read `same`, and those across, which read `cross`; side b's rows are side
+    a's with the halves swapped, so each half is formatted once.
     """
-    scale = 4**g.degree
-    nodes = g.nodes
-    for n1 in nodes:
-        row = []
-        for n2 in nodes:
-            s = g.scaled(n1, n2)
-            k = math.gcd(s, scale)
-            row.append((n2, s // k, scale // k))
-        yield n1, row
+    d = g.degree
+    den = [f"{sep}{1 << m}" for m in range(2 * d + 1)]
+    zero = f"0{sep}1"
+
+    def halves(profile: tuple[int, ...]) -> list[list[str]]:
+        factors = [_two_adic(p) for p in profile]
+        out = []
+        for o1, e1 in factors:
+            top = 2 * d - e1
+            out.append([f"{o1 * o}{den[top - e]}" if o1 and o else zero for o, e in factors])
+        return out
+
+    same, cross = halves(g.same), halves(g.cross)
+    return [s + c for s, c in zip(same, cross)] + [c + s for s, c in zip(same, cross)]
 
 
 def format_ngraph_table(g: WeightedNgraph) -> str:
@@ -163,10 +183,10 @@ def format_ngraph_table(g: WeightedNgraph) -> str:
     Line format: `side1 i1 side2 i2 numerator denominator`, the weight in
     lowest terms.
     """
+    labels = [f"{n.side} {n.like_count}" for n in g.nodes]
     lines = [f"d={g.degree}"]
-    for n1, row in _reduced_rows(g):
-        head = f"{n1.side} {n1.like_count} "
-        lines.extend(f"{head}{n2.side} {n2.like_count} {num} {den}" for n2, num, den in row)
+    for head, row in zip(labels, _weight_rows(g, " ")):
+        lines += [f"{head} {label} {w}" for label, w in zip(labels, row)]
     return "\n".join(lines) + "\n"
 
 
@@ -198,48 +218,14 @@ def ngraph_json_chunks(g: WeightedNgraph) -> Iterator[str]:
         return f"[\n{pad}  {json.dumps(n.side)},\n{pad}  {n.like_count}\n{pad}]"
 
     nodes = g.nodes
-    in_pair = {n: block(n, "      ") for n in nodes}
+    in_pair = [block(n, "      ") for n in nodes]
     yield f'{{\n  "d": {g.degree},\n  "nodes": [\n    '
     yield ",\n    ".join(block(n, "    ") for n in nodes)
     yield '\n  ],\n  "weights": [\n'
-    for i, (n1, row) in enumerate(_reduced_rows(g)):
-        head = f'    {{\n      "n1": {in_pair[n1]},\n      "n2": '
+    for i, row in enumerate(_weight_rows(g, "/")):
+        head = f'    {{\n      "n1": {in_pair[i]},\n      "n2": '
         yield ",\n" * (i > 0) + ",\n".join(
-            f'{head}{in_pair[n2]},\n      "weight": "{num}/{den}"\n    }}'
-            for n2, num, den in row
+            f'{head}{n2},\n      "weight": "{w}"\n    }}' for n2, w in zip(in_pair, row)
         )
     total = g.total_weight()
     yield f'\n  ],\n  "normalisation": "{total.numerator}/{total.denominator}"\n}}\n'
-
-
-def parse_ngraph_table(text: str) -> WeightedNgraph:
-    """Inverse of `format_ngraph_table`; returns `build_ngraph(d)` for its table.
-
-    Rejects fewer lines than the graph has pairs, then, naming the line, a
-    wrong field count, a node outside the graph, a repeated pair (so no line
-    is extra), a denominator 0, and a weight other than the built graph's.
-    Unreduced weights such as `2 32` pass.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("d="):
-        raise ValueError("missing 'd=<d>' header line")
-    d = check_degree(int(lines[0][2:]))
-    expected = (2 * d + 2) ** 2
-    if len(lines) - 1 < expected:
-        raise ValueError(f"expected {expected} weight lines, got {len(lines) - 1}")
-    g = build_ngraph(d)
-    seen = set()
-    for ln in lines[1:]:
-        try:
-            s1, i1, s2, i2, num, den = ln.split()
-            pair = (Neighbourhood(s1, int(i1)), Neighbourhood(s2, int(i2)))
-            if pair in seen:
-                raise ValueError("repeats an earlier pair")
-            if int(den) == 0:
-                raise ValueError("denominator 0")
-            if Fraction(int(num), int(den)) != g.weight(*pair):
-                raise ValueError(f"expected weight {g.weight(*pair)} for degree {d}")
-        except ValueError as exc:
-            raise ValueError(f"line {ln!r}: {exc}") from None
-        seen.add(pair)
-    return g

@@ -7,8 +7,10 @@ quantities take every binomial from its own `math.comb`, so they can
 arbitrate the walked binomials of `analysis`.  The serialisation oracles
 build each weight as a `Fraction` and run the standard `json` encoder, and
 the bound oracle walks every degree's summation window term by term.  The
-max-cut oracle scans every pair of side masks on an int64 grid, and the
-MaxSAT oracle scores every assignment of a WCNF document's variables.
+max-cut oracle scans every pair of side masks on an int64 grid, the WCNF
+text oracle writes one clause pair per node pair from `scaled`, and the
+MaxSAT oracle scores every assignment of a WCNF document's variables.  The
+table parser reads `build-ngraph`'s text back.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from localcut.analysis import tau_formula
-from localcut.ngraph import Neighbourhood, build_ngraph
+from localcut.ngraph import Neighbourhood, WeightedNgraph, build_ngraph, check_degree
 
 _SIDE = ("a", "b")
 
@@ -236,7 +238,8 @@ def ngraph_json_doc(g) -> dict:
             for n1 in g.nodes
             for n2 in g.nodes
         ],
-        "normalisation": _rational(g.total_weight()),
+        # a sum over the pairs, not `total_weight`, which the writer reads
+        "normalisation": _rational(sum(g.weight(n1, n2) for n1 in g.nodes for n2 in g.nodes)),
     }
 
 
@@ -262,6 +265,39 @@ def ngraph_table_lines(d: int) -> list[str]:
                 f" {w.numerator} {w.denominator}"
             )
     return lines
+
+
+def parse_ngraph_table(text: str) -> WeightedNgraph:
+    """Inverse of `format_ngraph_table`; returns `build_ngraph(d)` for its table.
+
+    Rejects fewer lines than the graph has pairs, then, naming the line, a
+    wrong field count, a node outside the graph, a repeated pair (so no line
+    is extra), a denominator 0, and a weight other than the built graph's.
+    Unreduced weights such as `2 32` pass.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("d="):
+        raise ValueError("missing 'd=<d>' header line")
+    d = check_degree(int(lines[0][2:]))
+    expected = (2 * d + 2) ** 2
+    if len(lines) - 1 < expected:
+        raise ValueError(f"expected {expected} weight lines, got {len(lines) - 1}")
+    g = build_ngraph(d)
+    seen = set()
+    for ln in lines[1:]:
+        try:
+            s1, i1, s2, i2, num, den = ln.split()
+            pair = (Neighbourhood(s1, int(i1)), Neighbourhood(s2, int(i2)))
+            if pair in seen:
+                raise ValueError("repeats an earlier pair")
+            if int(den) == 0:
+                raise ValueError("denominator 0")
+            if Fraction(int(num), int(den)) != g.weight(*pair):
+                raise ValueError(f"expected weight {g.weight(*pair)} for degree {d}")
+        except ValueError as exc:
+            raise ValueError(f"line {ln!r}: {exc}") from None
+        seen.add(pair)
+    return g
 
 
 def bound_walk(d_max: int) -> list[tuple[int, int, int, int, bool, bool]]:
@@ -350,6 +386,29 @@ def grid_max_cut(d: int):
     bits = min(f"{ma:0{d + 1}b}"[::-1] + f"{mb:0{d + 1}b}"[::-1] for ma, mb in hits)
     labels = {n: "ab"[int(c)] for n, c in zip(build_ngraph(d).nodes, bits)}
     return labels, Fraction(2 * best, 4**d)
+
+
+def wcnf_text(g) -> str:
+    """`export-wcnf`'s DIMACS text for graph `g`, one `g.scaled` pair at a time.
+
+    Walks the unordered node pairs u <= v in node order and merges both
+    directed weights of each; a nonzero merged weight w gives the clauses
+    `w u v 0` and `w -u -v 0`, and `top` is one more than the clause
+    weights' sum.
+    """
+    nodes = g.nodes
+    clauses = []
+    for i, n1 in enumerate(nodes):
+        for j in range(i, len(nodes)):
+            n2 = nodes[j]
+            w = g.scaled(n1, n2) + (g.scaled(n2, n1) if j > i else 0)
+            if w:
+                clauses += [(w, i + 1, j + 1), (w, -i - 1, -j - 1)]
+    lines = [f"c d = {g.degree}"]
+    lines += [f"c var {i} = ({n.side},{n.like_count})" for i, n in enumerate(nodes, 1)]
+    lines.append(f"p wcnf {len(nodes)} {len(clauses)} {1 + sum(c[0] for c in clauses)}")
+    lines += [f"{w} {u} {v} 0" for w, u, v in clauses]
+    return "\n".join(lines) + "\n"
 
 
 def exhaustive_max_weight(doc) -> tuple[int, dict]:

@@ -490,6 +490,28 @@ def test_tau_opt_csv():
     assert float(row["our_bound_float"]) == pytest.approx(41 / 64)
 
 
+@pytest.mark.parametrize(
+    "degrees", [[9, 2, 2, 800, 799], [2, 3, 4, 3, 4, 5, 5, 6, 40, 41, 39], list(range(2, 200))]
+)
+def test_tau_opt_csv_carries_the_binomial_across_any_degree_list(monkeypatch, degrees):
+    """Gaps, repeats and steps down give the rows of one degree at a time."""
+    expected, expected_ties = [], []
+    for d in degrees:  # each a fresh table, so each its own math.comb
+        buf = io.StringIO()
+        expected_ties += write_tau_opt_csv(buf, [d])
+        expected.append(buf.getvalue().splitlines()[1])
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(n + 1) or comb(n, k))
+    buf = io.StringIO()
+    ties = write_tau_opt_csv(buf, degrees)
+    assert buf.getvalue().splitlines()[1:] == expected
+    assert ties == expected_ties
+    # math.comb only at the first degree and where the next is not d + 1 or d
+    fresh = [d for i, d in enumerate(degrees) if i == 0 or d not in (degrees[i - 1], degrees[i - 1] + 1)]
+    assert calls == fresh
+
+
 def test_tau_opt_csv_floats_match_the_exact_values():
     buf = io.StringIO()
     write_tau_opt_csv(buf, range(2, 3001))

@@ -45,14 +45,12 @@ def assert_same_text(got: str, expected: str) -> None:
 
 
 def test_build_ngraph_text_round_trips(capsys):
-    from localcut.ngraph import build_ngraph, parse_ngraph_table
-
     code, out, _ = run(capsys, "build-ngraph", "--d", "3")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "d=3"
     assert len(lines) == 1 + 64
-    assert parse_ngraph_table(out) == build_ngraph(3)
+    assert oracles.parse_ngraph_table(out) == ngraph.build_ngraph(3)
 
 
 def test_build_ngraph_json_normalisation(capsys):
@@ -84,7 +82,7 @@ def test_build_ngraph_json_is_the_encoders_text(capsys, tmp_path, d):
     assert_same_text(path.read_bytes().decode(), expected)
 
 
-@pytest.mark.parametrize("d", range(2, 31))
+@pytest.mark.parametrize("d", [*range(2, 31), 60])
 def test_build_ngraph_text_and_csv_match_the_fraction_oracle(capsys, d):
     lines = oracles.ngraph_table_lines(d)
     code, out, _ = run(capsys, "build-ngraph", "--d", str(d))
@@ -158,6 +156,17 @@ def test_export_wcnf(capsys):
     assert sum(1 for ln in lines if not ln.startswith(("c", "p"))) == nclauses
     # deterministic output
     assert run(capsys, "export-wcnf", "--d", "2")[1] == out
+
+
+@pytest.mark.parametrize("d", [*range(2, 31), 60])
+def test_export_wcnf_is_the_pair_loops_text(capsys, tmp_path, d):
+    expected = oracles.wcnf_text(ngraph.build_ngraph(d))
+    code, out, _ = run(capsys, "export-wcnf", "--d", str(d))
+    assert code == 0
+    assert_same_text(out, expected)
+    path = tmp_path / "g.wcnf"
+    assert run(capsys, "export-wcnf", "--d", str(d), "--out", str(path))[0] == 0
+    assert_same_text(path.read_text(), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +450,7 @@ def test_seed_outside_64_bits_is_a_usage_error(capsys, seed):
             main([*argv, "--seed", str(seed)])
         assert exc.value.code == 2
         assert "outside 0..2^64-1" in capsys.readouterr().err
-    assert run(capsys, "gen-graph", "--family", "kdd", "--d", "3",
+    assert run(capsys, "gen-graph", "--family", "bipartite", "--n", "10", "--d", "3",
                "--seed", str(2**64 - 1))[0] == 0
 
 
@@ -547,6 +556,33 @@ def test_gen_graph_prints_each_fixed_familys_builder(capsys):
         expected = io.StringIO()
         write_edge_list(expected, g)
         assert run(capsys, "gen-graph", "--family", *argv) == (0, expected.getvalue(), "")
+
+
+@pytest.mark.parametrize("family", ["kdd", "cycle", "hypercube", "petersen"])
+@pytest.mark.parametrize("option", [["--seed", "5"], ["--entropy"]])
+def test_gen_graph_refuses_a_seed_its_family_does_not_read(capsys, family, option):
+    code, out, err = run(capsys, "gen-graph", "--family", family, *FAMILY_ARGS[family], *option)
+    assert code == 2 and out == ""
+    assert err == f"error: {option[0]} does not apply to --family {family}\n"
+
+
+@pytest.mark.parametrize("family", ["bipartite", "triangle-free"])
+def test_gen_graph_reads_the_seed_of_a_random_family(capsys, family):
+    argv = ["gen-graph", "--family", family, *FAMILY_ARGS[family]]
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--seed", str(cli.DEFAULT_SEED)) == default
+    code, out, err = run(capsys, *argv, "--entropy")
+    assert code == 0 and err.startswith("entropy seed: ")
+    seed = err.split()[-1]
+    assert run(capsys, *argv, "--seed", seed) == (0, out, "")
+
+
+def test_simulate_reads_the_seed_of_every_family(capsys):
+    argv = ["simulate", "--family", "petersen", "--alg", "uniform", "--trials", "10"]
+    code, out, _ = run(capsys, *argv, "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    assert json.loads(run(capsys, *argv)[1])["seed"] == cli.DEFAULT_SEED
 
 
 def test_gen_graph_to_file_with_seed(capsys, tmp_path):

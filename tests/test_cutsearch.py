@@ -174,6 +174,17 @@ def test_wcnf_clause_count_d3():
     assert len(doc.clauses) == 2 * nonzero_unordered == 42
 
 
+@pytest.mark.parametrize("d", [*range(2, 31), 60])
+def test_wcnf_closed_forms_and_text(d):
+    g = build_ngraph(d)
+    doc = export_wcnf(g)
+    assert len(doc.clauses) == doc.clause_count == 2 * (2 * d * d + d)
+    assert doc.top == 2 * 4**d + 1 == 1 + sum(c.weight for c in doc.clauses)
+    # the clauses in file order are the text's clause lines
+    body = format_wcnf(doc).splitlines()[2 * d + 4:]
+    assert body == [f"{c.weight} {c.literals[0]} {c.literals[1]} 0" for c in doc.clauses]
+
+
 def test_wcnf_text_format():
     doc = export_wcnf(build_ngraph(2))
     text = format_wcnf(doc)

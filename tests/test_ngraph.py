@@ -17,9 +17,8 @@ from localcut.ngraph import (
     format_ngraph_json,
     format_ngraph_table,
     ngraph_json_chunks,
-    parse_ngraph_table,
 )
-from oracles import joint_view_distribution, ngraph_json_doc
+from oracles import joint_view_distribution, ngraph_json_doc, parse_ngraph_table
 
 
 def test_known_weights_d3():
@@ -36,7 +35,9 @@ def test_same_side_zero_like_impossible_d2():
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_total_weight_is_one(d):
-    assert build_ngraph(d).total_weight() == 1
+    g = build_ngraph(d)
+    assert g.total_weight() == 1
+    assert sum(g.weight(n1, n2) for n1 in g.nodes for n2 in g.nodes) == 1
 
 
 @pytest.mark.parametrize("d", range(2, 11))
