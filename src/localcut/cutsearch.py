@@ -247,7 +247,8 @@ def format_wcnf(doc: WcnfDocument) -> str:
     built.
     """
     lines = [f"c d = {doc.degree}"]
-    lines += [f"c var {i} = ({n.side},{n.like_count})" for i, n in enumerate(doc.graph.nodes, 1)]
+    for i, n in enumerate(doc.var_nodes, start=1):
+        lines.append(f"c var {i} = ({n.side},{n.like_count})")
     lines.append(f"p wcnf {doc.variable_count} {doc.clause_count} {doc.top}")
     for u, row in _clause_rows(doc.graph):  # w printed once for both clauses
         lines += [f"{w} {u} {v} 0\n{w} -{u} -{v} 0" for v, w in row for w in [str(w)]]
