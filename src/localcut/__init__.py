@@ -49,7 +49,6 @@ from .ngraph import (
     WeightedNgraph,
     all_neighbourhoods,
     build_ngraph,
-    format_ngraph_json,
     format_ngraph_table,
 )
 from .sim import (
@@ -99,7 +98,6 @@ __all__ = [
     "empirical_joint_distribution",
     "evaluate_cut",
     "export_wcnf",
-    "format_ngraph_json",
     "format_ngraph_table",
     "format_wcnf",
     "from_edges",

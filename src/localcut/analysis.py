@@ -338,12 +338,6 @@ def _central_row(n: int, k: int) -> list[int]:
     return row
 
 
-def offset_ratio(n: int, delta: int) -> Fraction:
-    """C(2n, n + delta) / C(2n, n) = prod_{i<|delta|} (n-i) / (n+i+1)."""
-    k = abs(delta)
-    return Fraction(math.prod(range(n - k + 1, n + 1)), math.prod(range(n + 1, n + k + 1)))
-
-
 def tail_power(j: int, delta: int) -> Fraction:
     """(1 - j^2 / (32 delta))^delta, the elementary stand-in for e^(-j^2/32)."""
     if delta < 1:
@@ -453,17 +447,15 @@ def verify_appendix_estimates(
     at 16 and stops at `precision_cap` (>= 16).
 
     Each n takes one C(2n, n), walked out to delta_4 by small-factor ratios
-    (`_central_row`); the window masses are sums of that row, and the
-    off-centre ratios are `offset_ratio`'s small-factor products.
+    (`_central_row`); the window masses are sums of that row, and each
+    off-centre ratio is one entry of it over C(2n, n).
     """
-    if precision_cap < 16:
-        raise ValueError(f"precision cap must be >= 16, got {precision_cap}")
+    precision_cap = check_integer(precision_cap, 16, math.inf, "precision cap must be >= 16")
     ns = sorted(set(ns))
     if not ns:
         raise ValueError("need at least one n")
-    for n in ns:
-        if n < MIN_TAIL_N:
-            raise ValueError(f"estimates are only claimed for n >= {MIN_TAIL_N}, got {n}")
+    what = f"estimates are only claimed for n >= {MIN_TAIL_N}"
+    ns = [check_integer(n, MIN_TAIL_N, math.inf, what) for n in ns]
 
     share = Fraction("0.995")  # of e^(-j^2/32), for the off-centre checks
     entries = []  # (name, n, j, enclosure, threshold, relation)
@@ -475,7 +467,7 @@ def verify_appendix_estimates(
         entries.append(("central_mass_lower", n, None, central, Fraction("0.999"), ">"))
         entries.append(("central_mass_upper", n, None, central, Fraction(1), "<"))
         for j in TAIL_J:
-            ratio = offset_ratio(n, tail_offset(j, n))
+            ratio = Fraction(row[tail_offset(j, n)], row[0])
             entries.append(("offcentre_mass", n, j, _over_gaussian(ratio, j), share, ">"))
         # sum of C(2n, n + i) over |i| < delta_4 by symmetry, then its right column
         inner = row[0] + 2 * sum(row[1:delta4])
@@ -509,14 +501,13 @@ def fmt_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def write_alpha_sweep_csv(fh: IO[str], d: int, header: bool = True) -> None:
-    if header:
-        fh.write(ALPHA_SWEEP_COLUMNS + "\n")
-    for av in alpha_sweep(d):
-        v = av.value
-        fh.write(
-            f"{d},{av.tau},{v.numerator},{v.denominator},{fmt_float(float(v))}\n"
-        )
+def write_alpha_sweep_csv(fh: IO[str], d_values: Iterable[int]) -> None:
+    """Per-tau table: one header, then alpha(tau, d) for every tau of each d."""
+    fh.write(ALPHA_SWEEP_COLUMNS + "\n")
+    for d in d_values:
+        for av in alpha_sweep(d):
+            v = av.value
+            fh.write(f"{av.degree},{av.tau},{v.numerator},{v.denominator},{fmt_float(float(v))}\n")
 
 
 def _alpha_float(gain: int, d: int) -> float:

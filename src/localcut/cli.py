@@ -186,8 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         else:
-            for d in degrees:
-                analysis.write_alpha_sweep_csv(fh, d, header=(d == degrees[0]))
+            analysis.write_alpha_sweep_csv(fh, degrees)
     return 0
 
 

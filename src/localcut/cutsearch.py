@@ -21,7 +21,8 @@ from functools import cached_property
 from typing import Dict, Iterator
 
 from .ngraph import (
-    Neighbourhood, WeightedNgraph, all_neighbourhoods, check_degree, check_tau, complement_side,
+    SIDES, Neighbourhood, WeightedNgraph, all_neighbourhoods, check_degree, check_tau,
+    complement_side,
 )
 
 #: Cut assignments map every node of the neighbourhood graph to 'a' or 'b'.
@@ -64,7 +65,7 @@ def evaluate_cut(g: WeightedNgraph, cut: CutAssignment) -> Fraction:
     for n in nodes:
         if n not in cut:
             raise ValueError(f"cut assignment is missing a label for {n}")
-        if cut[n] not in ("a", "b"):
+        if cut[n] not in SIDES:
             raise ValueError(f"label for {n} must be 'a' or 'b', got {cut[n]!r}")
     total = 0
     for n1 in nodes:
@@ -137,7 +138,7 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
     ]
     # labels as bits in node order (a,0), ..., (b,d); '0' < '1' as 'a' < 'b'
     bits = min(f"{ma:0{d + 1}b}"[::-1] + f"{mb:0{d + 1}b}"[::-1] for ma, mb in hits)
-    labels = {n: "ab"[int(c)] for n, c in zip(g.nodes, bits)}
+    labels = {n: SIDES[int(c)] for n, c in zip(g.nodes, bits)}
     return labels, Fraction(2 * best, 4**d)
 
 

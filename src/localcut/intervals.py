@@ -34,9 +34,6 @@ class Interval:
         x = Fraction(x)
         return Interval(x, x)
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
 

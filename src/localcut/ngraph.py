@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+# The two sides of a cut; bit value b labels side SIDES[b] across the package.
 SIDES = ("a", "b")
 
 
@@ -190,28 +191,20 @@ def format_ngraph_table(g: WeightedNgraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_ngraph_json(g: WeightedNgraph) -> str:
-    """JSON document of the graph: degree, nodes, every weight, normalisation.
+def ngraph_json_chunks(g: WeightedNgraph) -> Iterator[str]:
+    """JSON document of the graph, in pieces of one n1 row each, for writing.
 
-    The text is byte for byte what `json.dump(doc, fh, indent=2)` followed by
-    a newline writes for the document
+    The pieces joined are byte for byte what `json.dump(doc, fh, indent=2)`
+    followed by a newline writes for the document
 
         {"d": d, "nodes": [[side, i], ...],
          "weights": [{"n1": [side, i], "n2": [side, i], "weight": "num/den"}, ...],
          "normalisation": "num/den"}
 
-    with weights in lowest terms and pairs in node order: the chunks of
-    `ngraph_json_chunks`, joined.
-    """
-    return "".join(ngraph_json_chunks(g))
-
-
-def ngraph_json_chunks(g: WeightedNgraph) -> Iterator[str]:
-    """`format_ngraph_json`'s text in pieces of one n1 row each, for writing.
-
-    The indented text is assembled directly: each node's `[side, i]` block is
-    formatted once per nesting depth, instead of running the pure-Python
-    encoder over 4(d+1)^2 dicts.
+    with weights in lowest terms and pairs in node order.  The indented text
+    is assembled directly: each node's `[side, i]` block is formatted once
+    per nesting depth, instead of running the pure-Python encoder over
+    4(d+1)^2 dicts.
     """
 
     def block(n: Neighbourhood, pad: str) -> str:

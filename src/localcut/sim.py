@@ -1,8 +1,9 @@
 """Distributed one-round cut algorithms on explicit graphs.
 
-Triangle-free regular graph generators, the node rules (uniform, two-thirds
-majority fallback, threshold), the virtual-neighbour wrapper for irregular
-graphs, and Monte Carlo measurement of cut weights and per-edge statistics.
+Triangle-free regular graph generators, the node rules (uniform; Shearer's,
+which follows c1 below d/2 agreement and c2 above it, c3 breaking ties;
+threshold), the virtual-neighbour wrapper for irregular graphs, and Monte
+Carlo measurement of cut weights and per-edge statistics.
 
 Randomness contract: trial t of master seed s draws from Philox4x64-10 keyed
 by (s mod 2^64, t), so trials are reproducible and independent, and runs of
@@ -21,20 +22,16 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
-from .ngraph import Neighbourhood, all_neighbourhoods, check_integer, check_tau
+from .ngraph import SIDES, Neighbourhood, all_neighbourhoods, check_integer, check_tau
 
 logger = logging.getLogger(__name__)
 
 NodeLabels = Dict[int, str]
-
-# Bit value b labels node side LABEL_FOR_BIT[b]; fixed across the package.
-LABEL_FOR_BIT = ("a", "b")
 
 UINT64_MASK = (1 << 64) - 1
 
@@ -195,10 +192,8 @@ def petersen_graph() -> RegularGraph:
     return from_edges(10, 3, edges)
 
 
-def _first_strict(
-    draw: Callable[[], np.ndarray], n: int, d: int, max_attempts: int, params: str
-) -> RegularGraph:
-    """The first strict `from_edges(n, d, draw())` within max_attempts draws.
+def _first_strict(draw: Callable[[], np.ndarray], n: int, d: int, params: str) -> RegularGraph:
+    """The first strict `from_edges(n, d, draw())` within REJECTION_BUDGET draws (read per call).
 
     A self-loop or repeated edge (left unnamed) or a `ValueError` rejects a
     draw, as a triangle does; one sort of the draw's edge keys finds those
@@ -206,7 +201,7 @@ def _first_strict(
     argument is the attempt count; `params` names the generator's inputs
     there and on exhaustion.
     """
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, REJECTION_BUDGET + 1):
         try:
             g = _simple_graph(n, d, draw())
         except ValueError:
@@ -215,19 +210,17 @@ def _first_strict(
             logger.info("accepted after %d attempt(s) (%s)", attempt, params)
             return g
     raise RuntimeError(
-        f"rejection budget exhausted after {max_attempts} attempts ({params}); "
+        f"rejection budget exhausted after {REJECTION_BUDGET} attempts ({params}); "
         "parameters too tight"
     )
 
 
-def random_bipartite_regular(
-    n_per_side: int, d: int, seed: int, max_attempts: int = REJECTION_BUDGET
-) -> RegularGraph:
+def random_bipartite_regular(n_per_side: int, d: int, seed: int) -> RegularGraph:
     """Union of d uniform random perfect matchings, resampled until simple.
 
     `from_edges` rejects an attempt whose matchings share an edge. Bipartite,
-    hence triangle-free; strict mode by construction. Raises after max_attempts
-    rejections, which signals parameters too tight (n_per_side close to d).
+    hence triangle-free; strict mode by construction. Running out of
+    REJECTION_BUDGET signals parameters too tight (n_per_side close to d).
     """
     d = check_integer(d, 1, math.inf, "d must be an integer >= 1")
     n_per_side = check_integer(
@@ -241,12 +234,10 @@ def random_bipartite_regular(
         return np.stack([left, right], axis=1)
 
     params = f"bipartite, n_per_side={n_per_side}, d={d}"
-    return _first_strict(draw, 2 * n_per_side, d, max_attempts, params)
+    return _first_strict(draw, 2 * n_per_side, d, params)
 
 
-def random_triangle_free(
-    n: int, d: int, seed: int, max_attempts: int = REJECTION_BUDGET
-) -> RegularGraph:
+def random_triangle_free(n: int, d: int, seed: int) -> RegularGraph:
     """Configuration model conditioned on simple and triangle-free.
 
     Pairs n*d stubs uniformly and rejects any sample that `from_edges` refuses
@@ -260,13 +251,12 @@ def random_triangle_free(
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     return _first_strict(
-        lambda: rng.permutation(stubs).reshape(-1, 2), n, d, max_attempts,
-        f"triangle-free, n={n}, d={d}",
+        lambda: rng.permutation(stubs).reshape(-1, 2), n, d, f"triangle-free, n={n}, d={d}"
     )
 
 
-# Edge-list lines per chunk in write_edge_list and read_edge_list: the text
-# and tokens of a large graph never sit in memory all at once.
+# Edge-list lines per chunk in write_edge_list and read_edge_list: it bounds
+# the text formatted and the tokens parsed at once, not the lines read.
 EDGE_CHUNK = 1 << 10
 
 
@@ -470,18 +460,7 @@ def _block_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarr
 
 
 def labels_from_bits(bits: np.ndarray) -> NodeLabels:
-    return {v: LABEL_FOR_BIT[int(b)] for v, b in enumerate(bits)}
-
-
-def cut_fraction(g: RegularGraph, labels: NodeLabels) -> Fraction:
-    """Fraction of edges whose endpoints got different labels."""
-    for v in range(g.node_count):
-        if labels.get(v) not in LABEL_FOR_BIT:
-            raise ValueError(f"node {v} is missing a valid side label")
-    if not g.edge_count:
-        raise ValueError("graph has no edges to measure")
-    cut = sum(labels[u] != labels[v] for u, v in g.edges.tolist())
-    return Fraction(cut, g.edge_count)
+    return {v: SIDES[int(b)] for v, b in enumerate(bits)}
 
 
 def _require_strict(g: RegularGraph, rule: str) -> None:
@@ -516,6 +495,7 @@ def run_trial(g: RegularGraph, alg: AlgorithmSpec, seed: int) -> NodeLabels:
     neighbours together: own bits come first (node order), then the virtual
     bits (node order).
     """
+    seed = check_integer(seed, -math.inf, math.inf, "seed must be an integer")
     sizes, rule = _block_rule(g, alg)
     return labels_from_bits(rule(*philox_bits(seed, 0, 1, sizes))[:, 0])
 
@@ -623,8 +603,8 @@ def monte_carlo(
     Identical (graph, algorithm, trials, seed) give bit-identical TrialStats.
     Trials run in blocks; memory does not grow with the trial count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_integer(trials, 1, math.inf, "trials must be >= 1")
+    seed = check_integer(seed, -math.inf, math.inf, "seed must be an integer")
     sizes, rule = _block_rule(g, alg)
     u, v = g.edges.T.copy()
     m = len(u)
@@ -665,8 +645,8 @@ def empirical_joint_distribution(
     probability.
     """
     _require_strict(g, "empirical_joint_distribution")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_integer(trials, 1, math.inf, "trials must be >= 1")
+    seed = check_integer(seed, -math.inf, math.inf, "seed must be an integer")
     u, v = edge
     if not (0 <= u < g.node_count) or v not in g.nbr[u]:
         raise ValueError(f"edge ({u}, {v}) is not in the graph")

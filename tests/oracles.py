@@ -10,7 +10,8 @@ the bound oracle walks every degree's summation window term by term.  The
 max-cut oracle scans every pair of side masks on an int64 grid, the WCNF
 text oracle writes one clause pair per node pair from `scaled`, and the
 MaxSAT oracle scores every assignment of a WCNF document's variables.  The
-table parser reads `build-ngraph`'s text back.
+table parser reads `build-ngraph`'s text back, and `cut_fraction` scores a
+labelled graph edge by edge, apart from the Monte Carlo runner's XOR tally.
 """
 
 from __future__ import annotations
@@ -113,6 +114,12 @@ def set_graph(node_count, degree, edges):
 def neighbour_lists(g):
     """`set_graph`'s neighbour lists for the edges of a `sim.RegularGraph`."""
     return set_graph(g.node_count, g.degree, g.edges.tolist())[0]
+
+
+def cut_fraction(g, labels: dict) -> Fraction:
+    """Fraction of the edges of a `sim.RegularGraph` whose endpoints got different labels."""
+    cut = sum(labels[u] != labels[v] for u, v in g.edges.tolist())
+    return Fraction(cut, g.edge_count)
 
 
 def expected_cut_weight_exhaustive(adjacency, rule) -> Fraction:
@@ -224,7 +231,7 @@ def ngraph_json_doc(g) -> dict:
     """The `build-ngraph --format json` document, one `Fraction` per pair.
 
     `json.dumps(doc, indent=2) + "\\n"` is the byte-identity reference for
-    `ngraph.format_ngraph_json`.
+    the joined `ngraph.ngraph_json_chunks`.
     """
     return {
         "d": g.degree,

@@ -8,6 +8,7 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from localcut.analysis import (
     bound_report_json,
     fmt_float,
     format_bound_report_json,
-    offset_ratio,
     optimal_tau,
     optimal_taus,
     shearer_bound,
@@ -38,11 +38,12 @@ from localcut.analysis import (
     write_tau_opt_csv,
     _alpha_float,
     _bound_decision,
+    _central_row,
     _decide,
     _gains,
 )
 from localcut.cutsearch import ThresholdRule, evaluate_cut, threshold_assignment
-from localcut.intervals import Interval
+from localcut.intervals import Interval, exp_enclosure
 from localcut.ngraph import build_ngraph
 import oracles
 from oracles import threshold_cut_probability
@@ -335,17 +336,14 @@ def test_tail_offset_values():
 
 
 def test_tail_quantities_are_exact():
-    n = 1500
-    assert offset_ratio(n, 0) == 1
     assert tail_power(4, 27) == (1 - Fraction(16, 32 * 27)) ** 27
 
 
 @pytest.mark.parametrize("n", [2, 1500, 1777, 3000])
 def test_walked_tail_quantities_match_comb_oracles(n):
     deltas = [tail_offset(j, n) for j in TAIL_J]
-    for delta in {0, 1, *deltas}:
-        for sign in (1, -1):
-            assert offset_ratio(n, sign * delta) == oracles.offset_ratio(n, sign * delta)
+    for k in {0, 1, *deltas, n + 2}:  # past i = n the row stays 0
+        assert _central_row(n, k) == [math.comb(2 * n, n + i) for i in range(k + 1)]
 
 
 def test_appendix_window_checks_match_comb_oracles():
@@ -357,6 +355,19 @@ def test_appendix_window_checks_match_comb_oracles():
         for name, hi in (("window_mass_full", delta4), ("window_mass_trimmed", delta4 - 1)):
             c = got[name, n]
             assert c.lo == c.hi == oracles.window_mass(n, 1 - delta4, hi)
+
+
+def test_appendix_offcentre_checks_match_comb_oracles():
+    ns = [1500, 1777, 3000]
+    report = verify_appendix_estimates(ns)
+    got = {(c.name, c.n, c.j): c for c in report.checks}
+    for n in ns:
+        for j in TAIL_J:
+            c = got["offcentre_mass", n, j]
+            ratio = oracles.offset_ratio(n, tail_offset(j, n))
+            gauss = exp_enclosure(Fraction(-j * j, 32), c.precision)
+            want = Interval.point(ratio) * gauss.reciprocal()
+            assert (c.lo, c.hi) == (want.lo, want.hi)
 
 
 def test_appendix_estimates_hold():
@@ -408,6 +419,23 @@ def test_decision_engine_stops_at_the_cap():
 def test_appendix_estimates_reject_a_cap_below_16():
     with pytest.raises(ValueError, match="precision cap"):
         verify_appendix_estimates([1500], precision_cap=8)
+
+
+@pytest.mark.parametrize("cap", (64.0, "64"))
+def test_appendix_estimates_reject_a_cap_that_is_not_an_integer_of_at_least_16(cap):
+    with pytest.raises(ValueError, match=r"^precision cap must be >= 16, got "):
+        verify_appendix_estimates([1500], precision_cap=cap)
+
+
+@pytest.mark.parametrize("n", (1500.0, "1500"))
+def test_appendix_estimates_reject_an_n_that_is_not_an_integer_of_at_least_1500(n):
+    with pytest.raises(ValueError, match=r"^estimates are only claimed for n >= 1500, got "):
+        verify_appendix_estimates([n])
+
+
+def test_appendix_estimates_read_numpy_integers_as_python_ints():
+    want = verify_appendix_estimates([1500], precision_cap=64)
+    assert verify_appendix_estimates([np.int64(1500)], precision_cap=np.int64(64)) == want
 
 
 def test_decision_engine_escalates_precision():
@@ -465,10 +493,12 @@ def test_decision_engine_rejects_an_unknown_relation():
 
 def test_alpha_sweep_csv():
     buf = io.StringIO()
-    write_alpha_sweep_csv(buf, 5)
+    write_alpha_sweep_csv(buf, [5, 2])
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "d,tau,alpha_num,alpha_den,alpha_float"
-    assert len(lines) == 1 + 7
+    assert lines.count(lines[0]) == 1  # one header for the whole table
+    assert len(lines) == 1 + 7 + 4
+    assert [line.split(",")[:2] for line in lines[8:]] == [["2", str(t)] for t in range(4)]
     d, tau, num, den, flt = lines[4].split(",")
     assert (d, tau) == ("5", "3")
     assert Fraction(int(num), int(den)) == alpha(3, 5)

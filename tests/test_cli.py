@@ -419,6 +419,8 @@ def test_simulate_usage_errors(capsys):
         "--trials", "10",
     )
     assert code == 2 and "bipartite" in err
+    argv = ("simulate", "--family", "petersen", "--alg", "uniform", "--trials", "0")
+    assert run(capsys, *argv) == (2, "", "error: trials must be >= 1, got 0\n")
     # threshold needs a strict graph; a missing file is a usage error too
     code, _, err = run(
         capsys, "simulate", "--family", "file", "--in", "/nonexistent",

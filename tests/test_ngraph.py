@@ -14,7 +14,6 @@ from localcut.ngraph import (
     all_neighbourhoods,
     build_ngraph,
     complement_side,
-    format_ngraph_json,
     format_ngraph_table,
     ngraph_json_chunks,
 )
@@ -155,5 +154,4 @@ def test_ngraph_json_comes_one_row_a_chunk(d):
     # header, nodes, "weights" opener, one chunk per n1 row, closer
     assert len(chunks) == 3 + 2 * (d + 1) + 1
     assert all(c.count('"n1"') == 2 * (d + 1) for c in chunks[3:-1])
-    assert "".join(chunks) == format_ngraph_json(g)
-    assert format_ngraph_json(g) == json.dumps(ngraph_json_doc(g), indent=2) + "\n"
+    assert "".join(chunks) == json.dumps(ngraph_json_doc(g), indent=2) + "\n"

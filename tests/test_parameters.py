@@ -1,12 +1,14 @@
 """The degree/tau contract of the threshold rule, checked at every entry point.
 
-Degrees are integers >= 2 and taus integers in [0, d + 1]. Any integer type
+Degrees are integers >= 2 and taus integers in [0, d + 1]; trial counts and
+seeds of the Monte Carlo entry points are integers too. Any integer type
 passes, numpy's included, and is computed with as a Python int; anything
 else (a float, even an integral one, a fraction, a string) is a ValueError.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
 from fractions import Fraction
 
@@ -31,12 +33,14 @@ from localcut.sim import (
     VirtualNeighbourCut,
     complete_bipartite,
     cycle_graph,
+    empirical_joint_distribution,
     from_edges,
     hypercube_graph,
     monte_carlo,
     random_bipartite_regular,
     random_triangle_free,
     run_trial,
+    write_trial_stats_json,
 )
 
 NUMPY_INTS = (np.int64, np.int32, np.uint16, np.intp)
@@ -116,6 +120,15 @@ def _entry_points():
         "monte_carlo(VirtualNeighbourCut)": lambda x: monte_carlo(
             star, VirtualNeighbourCut(x), 10, 0
         ),
+        "monte_carlo(trials)": lambda x: monte_carlo(g, ThresholdCut(2), x, 0),
+        "monte_carlo(seed)": lambda x: monte_carlo(g, ThresholdCut(2), 10, x),
+        "run_trial(seed)": lambda x: run_trial(g, ThresholdCut(2), x),
+        "empirical_joint_distribution(trials)": lambda x: empirical_joint_distribution(
+            g, (0, 3), x, 0
+        ),
+        "empirical_joint_distribution(seed)": lambda x: empirical_joint_distribution(
+            g, (0, 3), 10, x
+        ),
     }
     return list(calls.items())
 
@@ -172,3 +185,24 @@ def test_builders_store_python_ints(kind):
     ):
         assert (type(g.node_count), type(g.degree)) == (int, int)
     assert verify_theorem_bound(kind(30)) == verify_theorem_bound(30)
+
+
+@pytest.mark.parametrize("kind", NUMPY_INTS)
+def test_trial_counts_and_seeds_are_held_as_python_ints(kind):
+    g = complete_bipartite(3)
+    stats = monte_carlo(g, ThresholdCut(2), kind(5), kind(7))
+    assert stats == monte_carlo(g, ThresholdCut(2), 5, 7)
+    assert (type(stats.trials), type(stats.seed)) == (int, int)
+    buf = io.StringIO()
+    write_trial_stats_json(buf, stats)  # numpy integers would not serialise
+    assert '"trials": 5,' in buf.getvalue() and '"seed": 7,' in buf.getvalue()
+    assert run_trial(g, ThresholdCut(2), kind(7)) == run_trial(g, ThresholdCut(2), 7)
+    joint = empirical_joint_distribution(g, (0, 3), kind(50), kind(7))
+    assert joint == empirical_joint_distribution(g, (0, 3), 50, 7)
+
+
+def test_a_negative_seed_is_keyed_mod_2_64():
+    g = complete_bipartite(3)
+    stats = monte_carlo(g, ThresholdCut(2), 5, -1)
+    assert stats.seed == -1
+    assert stats.mean == monte_carlo(g, ThresholdCut(2), 5, 2**64 - 1).mean
