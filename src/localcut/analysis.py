@@ -451,10 +451,11 @@ def verify_appendix_estimates(
     off-centre ratio is one entry of it over C(2n, n).
     """
     precision_cap = check_integer(precision_cap, 16, math.inf, "precision cap must be >= 16")
-    ns = sorted(set(ns))
+    what = f"estimates are only claimed for n >= {MIN_TAIL_N}"
+    # integers first, so that sorting compares ints; then the smallest n out of range
+    ns = sorted({check_integer(n, -math.inf, math.inf, what) for n in ns})
     if not ns:
         raise ValueError("need at least one n")
-    what = f"estimates are only claimed for n >= {MIN_TAIL_N}"
     ns = [check_integer(n, MIN_TAIL_N, math.inf, what) for n in ns]
 
     share = Fraction("0.995")  # of e^(-j^2/32), for the off-centre checks

@@ -9,8 +9,9 @@ Randomness contract: trial t of master seed s draws from Philox4x64-10 keyed
 by (s mod 2^64, t), so trials are reproducible and independent, and runs of
 different algorithms at the same (seed, trial) share the base cut c1. Within
 a trial, bits are drawn in node-index order, one array per cut. Monte Carlo
-runs draw blocks of trials (`philox_bits`): many small trials at once through
-Philox rounds written in numpy, a few large ones through numpy's C Philox.
+runs draw blocks of trials (`philox_bits`), 16 or more in every block but
+the last: a block of at most 2^16 bits through Philox rounds written in
+numpy, a larger one through numpy's C Philox, one trial at a time.
 Like-mindedness is the equality convention: a neighbour u of v counts
 towards l(v) when c1(u) == c1(v).
 """
@@ -226,7 +227,7 @@ def random_bipartite_regular(n_per_side: int, d: int, seed: int) -> RegularGraph
     n_per_side = check_integer(
         n_per_side, d, math.inf, "need an integer n_per_side >= d for d disjoint matchings"
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, 0, math.inf, "seed must be an integer >= 0"))
     left = np.tile(np.arange(n_per_side), d)
 
     def draw() -> np.ndarray:
@@ -248,7 +249,7 @@ def random_triangle_free(n: int, d: int, seed: int) -> RegularGraph:
     n = check_integer(n, d + 1, math.inf, "need an integer n > d for a simple d-regular graph")
     if n * d % 2:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, 0, math.inf, "seed must be an integer >= 0"))
     stubs = np.repeat(np.arange(n), d)
     return _first_strict(
         lambda: rng.permutation(stubs).reshape(-1, 2), n, d, f"triangle-free, n={n}, d={d}"
@@ -356,9 +357,9 @@ def apply_virtual_rule(
 # ---------------------------------------------------------------------------
 # Seeded execution
 
-# Trials per block: max(1, BLOCK_SLOTS // bits drawn per trial).
+# Most bits a block draws through the numpy Philox rounds (see philox_bits).
 BLOCK_SLOTS = 1 << 16
-# Blocks of fewer trials are tallied trial-major (see monte_carlo).
+# Fewest trials in a block but a run's last (see _blocks).
 FEW_TRIALS = 16
 
 
@@ -382,13 +383,12 @@ def philox_bits(seed: int, t0: int, trials: int, sizes: Sequence[int]) -> List[n
     uint32 (low half first), each uint32 into four bytes (low byte first),
     bit = byte >> 7, and every draw starts on a fresh uint32.
 
-    The bits drawn per trial pick the route. A trial of more than
-    BLOCK_SLOTS // FEW_TRIALS bits (a block of fewer than FEW_TRIALS trials)
-    reads numpy's C Philox one trial at a time; a block of many small trials
-    runs the ten rounds on all its counters at once, in numpy.
+    The bits drawn by the whole block pick the route. A block of more than
+    BLOCK_SLOTS bits reads numpy's C Philox one trial at a time; a smaller
+    one runs the ten rounds on all its counters at once, in numpy.
     """
     words = [-(-n // 4) for n in sizes]
-    route = _c_philox_bytes if sum(sizes) > BLOCK_SLOTS // FEW_TRIALS else _block_philox_bytes
+    route = _c_philox_bytes if trials * sum(sizes) > BLOCK_SLOTS else _block_philox_bytes
     bits = np.right_shift(route(seed, t0, trials, sum(words)).T, 7, order="C")
     starts = np.cumsum([0] + words) * 4
     return [bits[s : s + n] for s, n in zip(starts, sizes)]
@@ -570,8 +570,8 @@ def _block_rule(g: RegularGraph, alg: AlgorithmSpec):
 
 
 def _blocks(seed: int, trials: int, sizes: Sequence[int]) -> Iterator[List[np.ndarray]]:
-    """philox_bits for trials 0..trials-1, one block at a time."""
-    step = max(1, BLOCK_SLOTS // sum(sizes))
+    """philox_bits for trials 0..trials-1, in blocks of `step` trials but the last."""
+    step = max(FEW_TRIALS, BLOCK_SLOTS // sum(sizes))
     for t0 in range(0, trials, step):
         yield philox_bits(seed, t0, min(step, trials - t0), sizes)
 
@@ -584,15 +584,11 @@ def _cut_counts(
     A function of its own, so that its arrays are freed before the next
     block is drawn.
     """
-    # 0/1 per edge and trial, edge-major; trial-major in a block of few
-    # trials, whose short rows numpy's take and sum walk slowly
-    axis = int(out.shape[1] < FEW_TRIALS)
-    src = out.T.copy() if axis else out
-    cut = np.take(src, u, axis=axis)
-    cut ^= np.take(src, v, axis=axis)
+    cut = np.take(out, u, axis=0)  # 0/1 per edge and trial
+    cut ^= np.take(out, v, axis=0)
     if edge_cut_counts is not None:
-        edge_cut_counts += cut.sum(axis=1 - axis, dtype=np.int64)
-    return cut.sum(axis=axis)
+        edge_cut_counts += cut.sum(axis=1, dtype=np.int64)
+    return cut.sum(axis=0)
 
 
 def monte_carlo(
@@ -647,7 +643,7 @@ def empirical_joint_distribution(
     _require_strict(g, "empirical_joint_distribution")
     trials = check_integer(trials, 1, math.inf, "trials must be >= 1")
     seed = check_integer(seed, -math.inf, math.inf, "seed must be an integer")
-    u, v = edge
+    u, v = (check_integer(x, -math.inf, math.inf, "edge endpoints must be integers") for x in edge)
     if not (0 <= u < g.node_count) or v not in g.nbr[u]:
         raise ValueError(f"edge ({u}, {v}) is not in the graph")
     d = g.degree

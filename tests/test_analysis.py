@@ -433,6 +433,18 @@ def test_appendix_estimates_reject_an_n_that_is_not_an_integer_of_at_least_1500(
         verify_appendix_estimates([n])
 
 
+@pytest.mark.parametrize("ns", ([1500, "x"], [1500, 1500.0]))
+def test_appendix_estimates_check_each_n_before_merging_them(ns):
+    # sorting would compare "x" with 1500, and a set would merge 1500.0 into 1500
+    with pytest.raises(ValueError, match=r"^estimates are only claimed for n >= 1500, got "):
+        verify_appendix_estimates(ns)
+
+
+def test_appendix_estimates_name_the_smallest_n_out_of_range():
+    with pytest.raises(ValueError, match=r", got 1000$"):
+        verify_appendix_estimates([1400, 1000, 2000])
+
+
 def test_appendix_estimates_read_numpy_integers_as_python_ints():
     want = verify_appendix_estimates([1500], precision_cap=64)
     assert verify_appendix_estimates([np.int64(1500)], precision_cap=np.int64(64)) == want

@@ -129,6 +129,8 @@ def _entry_points():
         "empirical_joint_distribution(seed)": lambda x: empirical_joint_distribution(
             g, (0, 3), 10, x
         ),
+        "random_bipartite_regular(seed)": lambda x: random_bipartite_regular(6, 3, x),
+        "random_triangle_free(seed)": lambda x: random_triangle_free(20, 3, x),
     }
     return list(calls.items())
 
@@ -199,6 +201,19 @@ def test_trial_counts_and_seeds_are_held_as_python_ints(kind):
     assert run_trial(g, ThresholdCut(2), kind(7)) == run_trial(g, ThresholdCut(2), 7)
     joint = empirical_joint_distribution(g, (0, 3), kind(50), kind(7))
     assert joint == empirical_joint_distribution(g, (0, 3), 50, 7)
+
+
+@pytest.mark.parametrize("generate,args", [
+    (random_bipartite_regular, (6, 3)),
+    (random_triangle_free, (20, 3)),
+])
+def test_generator_seeds_are_integers_of_at_least_0(generate, args):
+    # None would draw OS entropy, and -1 would reach numpy's own error
+    for bad in (None, -1, "7"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            generate(*args, bad)
+    for kind in NUMPY_INTS:
+        assert generate(*args, kind(7)) == generate(*args, 7)
 
 
 def test_a_negative_seed_is_keyed_mod_2_64():

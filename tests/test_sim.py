@@ -575,9 +575,10 @@ def test_randomness_budget(monkeypatch):
 
 KERNEL_SEEDS = (0, 42, 0xC0FFEE, 2**63 + 0x3039, 2**64 - 1, 2**63)
 
-# Bits per trial on either side of BLOCK_SLOTS // FEW_TRIALS = 4096, where
-# philox_bits turns from its numpy rounds to numpy's C Philox: one draw, two
-# draws (the virtual rule) and three (the Shearer rule), of odd sizes.
+# Bits per trial on either side of BLOCK_SLOTS // FEW_TRIALS = 4096, where a
+# block of FEW_TRIALS trials turns from philox_bits' numpy rounds to numpy's
+# C Philox: one draw, two draws (the virtual rule) and three (the Shearer
+# rule), of odd sizes.
 ROUTE_SIZES = [
     (4095,), (4096,), (4097,),
     (2045, 2049), (2047, 2049), (2047, 2051),
@@ -600,9 +601,9 @@ def c_route_calls(monkeypatch) -> list:
 def test_block_kernel_matches_chained_draws(seed, sizes, monkeypatch):
     assert sim.BLOCK_SLOTS // sim.FEW_TRIALS == 4096
     routed = c_route_calls(monkeypatch)
-    t0, trials = 5, 4
+    t0, trials = 5, sim.FEW_TRIALS
     block = sim.philox_bits(seed, t0, trials, sizes)
-    assert bool(routed) == (sum(sizes) > 4096)
+    assert bool(routed) == (trials * sum(sizes) > sim.BLOCK_SLOTS)
     assert [a.shape for a in block] == [(n, trials) for n in sizes]
     for i in range(trials):
         rng = make_trial_rng(seed, t0 + i)
@@ -623,17 +624,34 @@ def test_the_c_route_builds_one_generator_a_block(monkeypatch):
     assert len(made) == len(KERNEL_SEEDS)
 
 
+# BLOCK_SLOTS for 11-bit trials, and the block widths of a 40-trial run: room
+# for three trials still gives FEW_TRIALS a block, room for 17 gives 17
+BLOCK_WIDTHS = [(3 * 11, [16, 16, 8]), (17 * 11, [17, 17, 6])]
+
+
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
 def test_blocks_cross_boundaries_on_the_trial_stream(seed, monkeypatch):
-    monkeypatch.setattr(sim, "BLOCK_SLOTS", 3 * 12)  # three 11-bit trials a block
-    blocks = list(sim._blocks(seed, 10, (5, 6)))
-    assert [c1.shape[1] for c1, _ in blocks] == [3, 3, 3, 1]
-    c1 = np.concatenate([b[0] for b in blocks], axis=1)
-    c2 = np.concatenate([b[1] for b in blocks], axis=1)
-    for t in range(10):
-        rng = make_trial_rng(seed, t)
-        assert np.array_equal(c1[:, t], draw_bits(rng, 5))
-        assert np.array_equal(c2[:, t], draw_bits(rng, 6))
+    for slots, widths in BLOCK_WIDTHS:
+        monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
+        blocks = list(sim._blocks(seed, 40, (5, 6)))
+        assert [c1.shape[1] for c1, _ in blocks] == widths
+        c1 = np.concatenate([b[0] for b in blocks], axis=1)
+        c2 = np.concatenate([b[1] for b in blocks], axis=1)
+        for t in range(40):
+            rng = make_trial_rng(seed, t)
+            assert np.array_equal(c1[:, t], draw_bits(rng, 5))
+            assert np.array_equal(c2[:, t], draw_bits(rng, 6))
+
+
+@pytest.mark.parametrize("bits", (1, 100, 4095, 4096, 4097, 20_000, 70_000))
+def test_only_the_last_block_holds_fewer_than_few_trials(bits, monkeypatch):
+    monkeypatch.setattr(sim, "philox_bits", lambda seed, t0, trials, sizes: (t0, trials))
+    most = max(sim.FEW_TRIALS, sim.BLOCK_SLOTS // bits)
+    trials = 2 * most + 5
+    starts, widths = zip(*sim._blocks(0, trials, (bits,)))
+    assert list(starts) == [sum(widths[:i]) for i in range(len(widths))]
+    assert sum(widths) == trials and widths[-1] == 5
+    assert all(sim.FEW_TRIALS <= w <= most for w in widths[:-1])
 
 
 def test_seeds_at_and_above_2_63_are_distinct():
@@ -677,10 +695,11 @@ BLOCK_SPECS = {
 
 
 def route_slots(bits):
-    """BLOCK_SLOTS values, each with the Philox route it forces on trials of `bits` bits.
+    """BLOCK_SLOTS values, each with the Philox route of full blocks of `bits`-bit trials.
 
-    One trial a block and FEW_TRIALS - 1 trials a block draw through numpy's
-    C Philox; FEW_TRIALS trials a block, and wide blocks, through the rounds.
+    Below FEW_TRIALS * bits, the blocks hold FEW_TRIALS trials, more than
+    BLOCK_SLOTS bits, and draw through numpy's C Philox; from FEW_TRIALS *
+    bits on, they hold at most BLOCK_SLOTS bits and run the rounds.
     """
     few = sim.FEW_TRIALS
     return [(1, True), (few * bits - 1, True), (few * bits, False), (1 << 20, False)]
@@ -737,14 +756,13 @@ def test_monte_carlo_tally_is_independent_of_the_block_width(case, monkeypatch):
     def run(per_edge):
         return monte_carlo(g, spec, trials, seed=0xC0FFEE, per_edge=per_edge)
 
-    # default blocks: one trial on the long cycle, else enough to tally edge-major
+    # default blocks: the long cycle's five trials in one C Philox block
     assert (bits > sim.BLOCK_SLOTS) == case.startswith("long")
-    assert bits > sim.BLOCK_SLOTS or sim.BLOCK_SLOTS // bits >= sim.FEW_TRIALS
     want, want_counts = run(False), run(True)
     # the per-edge tally is skipped without per_edge; the rest must not move
     assert replace(want_counts, per_edge=None) == want
     assert (want.flagged_edge_mean is None) == (case == "petersen-shearer")
-    for slots in (1, 5 * bits // 2):  # one trial a block; two (tallied trial-major)
+    for slots in (1, 17 * bits):  # FEW_TRIALS a block, C Philox; 17, the rounds
         monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
         assert run(False) == want
         assert run(True) == want_counts
@@ -912,6 +930,9 @@ def test_joint_distribution_validation():
     g = complete_bipartite(3)
     with pytest.raises(ValueError, match="not in the graph"):
         empirical_joint_distribution(g, (0, 1), 10, seed=0)
+    for edge in ((0.0, 3), (0, 3.0), (True, 3), ("0", 3)):  # never an index
+        with pytest.raises(ValueError, match="^edge endpoints must be integers, got "):
+            empirical_joint_distribution(g, edge, 10, seed=0)
     with pytest.raises(ValueError, match="trials"):
         empirical_joint_distribution(g, (0, 3), 0, seed=0)
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
