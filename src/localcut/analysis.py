@@ -25,6 +25,7 @@ and e^(-j^2/32) with escalating precision.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,14 +174,6 @@ class SqrtBound:
             return 0
         return -1
 
-    def exact_value(self) -> Fraction | None:
-        """The bound as a rational when sqrt(coeff_sq / d) is rational."""
-        q = self.coeff_sq / self.degree
-        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if rn * rn == q.numerator and rd * rd == q.denominator:
-            return HALF + Fraction(rn, rd)
-        return None
-
     def to_float(self) -> float:
         return _root_bound_float(float(self.coeff_sq), self.degree)
 
@@ -318,6 +311,7 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
 
 MIN_TAIL_N = 1500
 TAIL_J = (1, 2, 3, 4)
+DEFAULT_PRECISION_CAP = 4096
 
 
 def tail_offset(j: int, n: int) -> int:
@@ -388,7 +382,7 @@ def _decide(
     while True:
         iv = make_interval(precision)
         view = iv.scale(-1) if below else iv
-        if view.entirely_above(bar):
+        if view.lo > bar:
             status = "holds"
         elif view.hi <= bar:
             status = "fails"
@@ -429,7 +423,7 @@ def _over_gaussian(x: Fraction, j: int) -> Callable[[int], Interval]:
 
 
 def verify_appendix_estimates(
-    ns: Iterable[int], precision_cap: int = 4096
+    ns: Iterable[int], precision_cap: int = DEFAULT_PRECISION_CAP
 ) -> AppendixEstimateReport:
     """Certify the binomial tail estimates used by the lower-bound proof.
 
@@ -544,52 +538,36 @@ def write_tau_opt_csv(fh: IO[str], d_values: Iterable[int]) -> list[tuple[int, l
     return ties
 
 
-def bound_report_json(report: BoundReport) -> dict:
-    ours = float(THRESHOLD_COEFF_SQ)  # to_float's, once
-    return {
-        "d_max": report.d_max,
-        "all_pass": report.all_pass,
-        "equality_degrees": list(report.equality_degrees),
-        "checks": [
-            {
-                "d": c.degree,
-                "tau": c.tau,
-                "alpha_float": _alpha_float(c.gain, c.degree),
-                "bound_float": _root_bound_float(ours, c.degree),
-                "passed": c.passed,
-                "equality": c.equality,
-            }
-            for c in report.checks
-        ],
-    }
-
-
-def format_bound_report_json(doc: dict) -> str:
-    """`json.dumps(doc, indent=2)` plus a newline, for a `bound_report_json` doc.
+def format_bound_report_json(report: BoundReport) -> str:
+    """The `verify --bound` report as `json.dumps(doc, indent=2)` plus a newline.
 
     The indented text is assembled directly, one f-string per check, instead
-    of running the pure-Python encoder over every field.  Floats print as
-    `float.__repr__`, as the encoder prints finite floats.
+    of running the pure-Python encoder over a dict of every field.  Floats
+    print as `float.__repr__`, as the encoder prints finite floats.
     """
 
-    def block(items: list[str], pad: str) -> str:
-        if not items:
-            return "[]"
-        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+    def block(items: list[str]) -> str:
+        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
+    ours = float(THRESHOLD_COEFF_SQ)  # to_float's, once
     js = ("false", "true")
     checks = [
-        f'{{\n      "d": {c["d"]},\n      "tau": {c["tau"]},\n'
-        f'      "alpha_float": {c["alpha_float"]!r},\n'
-        f'      "bound_float": {c["bound_float"]!r},\n'
-        f'      "passed": {js[c["passed"]]},\n      "equality": {js[c["equality"]]}\n    }}'
-        for c in doc["checks"]
+        f'{{\n      "d": {c.degree},\n      "tau": {c.tau},\n'
+        f'      "alpha_float": {_alpha_float(c.gain, c.degree)!r},\n'
+        f'      "bound_float": {_root_bound_float(ours, c.degree)!r},\n'
+        f'      "passed": {js[c.passed]},\n      "equality": {js[c.equality]}\n    }}'
+        for c in report.checks
     ]
     return (
-        f'{{\n  "d_max": {doc["d_max"]},\n  "all_pass": {js[doc["all_pass"]]},\n'
-        f'  "equality_degrees": {block([str(d) for d in doc["equality_degrees"]], "  ")},\n'
-        f'  "checks": {block(checks, "  ")}\n}}\n'
+        f'{{\n  "d_max": {report.d_max},\n  "all_pass": {js[report.all_pass]},\n'
+        f'  "equality_degrees": {block([str(d) for d in report.equality_degrees])},\n'
+        f'  "checks": {block(checks)}\n}}\n'
     )
+
+
+def bound_report_json(report: BoundReport) -> dict:
+    """The `verify --bound` report as a dict: its JSON text, parsed."""
+    return json.loads(format_bound_report_json(report))
 
 
 def appendix_report_json(report: AppendixEstimateReport) -> dict:

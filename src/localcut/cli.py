@@ -31,7 +31,6 @@ from . import analysis, cutsearch, ngraph, sim
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_TRIALS = 10_000
 DEFAULT_DMAX = 3000
-DEFAULT_PRECISION_CAP = 4096
 
 # the graph options of simulate and gen-graph
 GRAPH_OPTIONS = {"--n": "n", "--d": "d", "--in": "infile"}
@@ -202,11 +201,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # an existing file as it was
     if args.bound:
         report = analysis.verify_theorem_bound(DEFAULT_DMAX if args.dmax is None else args.dmax)
-        text = analysis.format_bound_report_json(analysis.bound_report_json(report))
+        text = analysis.format_bound_report_json(report)
         ok = report.all_pass
     else:
         ns = [int(x) for x in args.appendix.split(",") if x]
-        cap = DEFAULT_PRECISION_CAP if args.precision_cap is None else args.precision_cap
+        cap = analysis.DEFAULT_PRECISION_CAP if args.precision_cap is None else args.precision_cap
         report = analysis.verify_appendix_estimates(ns, precision_cap=cap)
         text = json.dumps(analysis.appendix_report_json(report), indent=2) + "\n"
         ok = report.all_hold and report.conclusive

@@ -4,7 +4,9 @@ The tail-estimate verifications need to compare exact binomial ratios against
 thresholds involving pi and e^(-j^2/32).  Those two constants are enclosed by
 converging rational bounds (bracketing partial sums of alternating series and
 scaled integer square roots), so every decision reduces to exact Fraction
-comparisons: there is no floating point and no rounding mode anywhere.
+comparisons: there is no floating point and no rounding mode anywhere.  The
+enclosures take their argument only as an int or a Fraction, and their term
+or bit counts only as integers; anything else is a ValueError.
 
 A comparison against a threshold is decisive only when the whole interval
 falls on one side; callers escalate precision (more series terms / more bits)
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .ngraph import check_integer
 
 
 @dataclass(frozen=True)
@@ -57,29 +61,22 @@ class Interval:
             raise ValueError("reciprocal requires a strictly positive interval")
         return Interval(1 / self.hi, 1 / self.lo)
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
-    def entirely_above(self, x: Fraction) -> bool:
-        return self.lo > x
-
-    def entirely_below(self, x: Fraction) -> bool:
-        return self.hi < x
+def _check_rational(x: Fraction | int) -> Fraction | int:
+    """`x` itself if it is an int or a Fraction; bools are not ints here."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"x must be an int or a Fraction, got {x!r}")
+    return x
 
 
 def _arctan_enclosure(x: Fraction, terms: int) -> Interval:
     """Bracketing partial sums of arctan(x) = x - x^3/3 + x^5/5 - ...
 
-    Valid for 0 < x < 1, where the terms decrease monotonically, so
-    consecutive partial sums straddle the limit.
+    Valid for 0 < x < 1 and terms >= 1, where the terms decrease
+    monotonically, so consecutive partial sums straddle the limit.
     """
     if not 0 < x < 1:
         raise ValueError("arctan enclosure needs 0 < x < 1")
-    if terms < 1:
-        raise ValueError("need at least one term")
     s = Fraction(0)
     power = x
     x2 = x * x
@@ -96,6 +93,7 @@ def _arctan_enclosure(x: Fraction, terms: int) -> Interval:
 
 def pi_enclosure(terms: int) -> Interval:
     """Rational bounds on pi via pi = 16*arctan(1/5) - 4*arctan(1/239)."""
+    terms = check_integer(terms, 1, math.inf, "terms must be an integer >= 1")
     a5 = _arctan_enclosure(Fraction(1, 5), terms)
     a239 = _arctan_enclosure(Fraction(1, 239), max(2, terms // 2))
     return a5.scale(16) - a239.scale(4)
@@ -107,12 +105,12 @@ def exp_enclosure(x: Fraction, terms: int) -> Interval:
     With |x| < 1 the terms x^k / k! decrease in absolute value from the start,
     so consecutive partial sums bracket the limit.
     """
+    x = _check_rational(x)
     if not -1 < x <= 0:
         raise ValueError("exp enclosure implemented for -1 < x <= 0 only")
+    terms = check_integer(terms, 1, math.inf, "terms must be an integer >= 1")
     if x == 0:
         return Interval.point(Fraction(1))
-    if terms < 1:
-        raise ValueError("need at least one term")
     s = Fraction(1)
     term = Fraction(1)
     prev = None
@@ -127,6 +125,8 @@ def exp_enclosure(x: Fraction, terms: int) -> Interval:
 
 def sqrt_enclosure(x: Fraction, bits: int) -> Interval:
     """Rational bounds on sqrt(x) with 2^-bits resolution, via integer isqrt."""
+    x = _check_rational(x)
+    bits = check_integer(bits, 0, math.inf, "bits must be an integer >= 0")
     if x < 0:
         raise ValueError("sqrt of a negative rational")
     if x == 0:

@@ -171,19 +171,22 @@ def _triangle_flags(nbr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray
 def complete_bipartite(d: int) -> RegularGraph:
     """K_{d,d}: nodes 0..d-1 on one side, d..2d-1 on the other."""
     d = check_integer(d, 1, math.inf, "d must be an integer >= 1")
-    return from_edges(2 * d, d, [(u, d + v) for u in range(d) for v in range(d)])
+    side = np.arange(d)
+    return from_edges(2 * d, d, np.stack([np.repeat(side, d), d + np.tile(side, d)], axis=1))
 
 
 def cycle_graph(n: int) -> RegularGraph:
     n = check_integer(n, 4, math.inf, "cycle needs an integer n >= 4 to be triangle-free")
-    return from_edges(n, 2, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return from_edges(n, 2, np.stack([i, (i + 1) % n], axis=1))
 
 
 def hypercube_graph(k: int) -> RegularGraph:
     """k-dimensional hypercube: 2^k nodes, k-regular, bipartite."""
     k = check_integer(k, 1, math.inf, "dimension must be an integer >= 1")
-    edges = [(x, x | 1 << b) for x in range(1 << k) for b in range(k) if not x >> b & 1]
-    return from_edges(1 << k, k, edges)
+    x, b = np.repeat(np.arange(1 << k), k), np.tile(np.arange(k), 1 << k)
+    low = (x >> b & 1) == 0  # each edge once, from the end whose bit b is 0
+    return from_edges(1 << k, k, np.stack([x[low], (x | 1 << b)[low]], axis=1))
 
 
 def petersen_graph() -> RegularGraph:

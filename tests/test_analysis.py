@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -196,14 +196,6 @@ def test_bound_compare_signs():
     assert b.compare(Fraction(1, 3)) == -1  # below 1/2
 
 
-def test_bound_exact_values():
-    assert threshold_bound(4).exact_value() == Fraction(41, 64)
-    assert shearer_bound(2).exact_value() == Fraction(5, 8)
-    assert shearer_bound(8).exact_value() == Fraction(9, 16)
-    assert threshold_bound(3).exact_value() is None
-    assert shearer_bound(4).exact_value() is None
-
-
 def test_bound_floats():
     assert threshold_bound(4).to_float() == pytest.approx(41 / 64, abs=1e-15)
     assert shearer_bound(3).to_float() == pytest.approx(
@@ -246,20 +238,33 @@ def test_bound_check_gain_and_reported_alpha():
     rows = bound_report_json(report)["checks"]
     for c, row in zip(report.checks, rows, strict=True):
         assert c.gain == (c.alpha - Fraction(1, 2)) * 4 ** (c.degree - 1)
-        assert row["d"] == c.degree and row["alpha_float"] == float(c.alpha)
-        assert row["bound_float"] == threshold_bound(c.degree).to_float()
+        assert row == {
+            "d": c.degree,
+            "tau": c.tau,
+            "alpha_float": float(c.alpha),
+            "bound_float": threshold_bound(c.degree).to_float(),
+            "passed": c.passed,
+            "equality": c.equality,
+        }
 
 
 @pytest.mark.parametrize("d_max", [*range(2, 41), 3000])
 def test_bound_report_writer_matches_the_encoder(d_max):
-    doc = bound_report_json(verify_theorem_bound(d_max))
-    assert format_bound_report_json(doc) == json.dumps(doc, indent=2) + "\n"
+    report = verify_theorem_bound(d_max)
+    text = format_bound_report_json(report)
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert bound_report_json(report) == json.loads(text)
 
 
 def test_bound_report_writer_prints_failures():
-    doc = bound_report_json(verify_theorem_bound(3))
-    doc["all_pass"] = doc["checks"][1]["passed"] = False
-    assert format_bound_report_json(doc) == json.dumps(doc, indent=2) + "\n"
+    report = verify_theorem_bound(3)
+    failed = replace(report.checks[1], passed=False)
+    report = replace(report, checks=(report.checks[0], failed), all_pass=False)
+    text = format_bound_report_json(report)
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2) + "\n" == text
+    assert doc["all_pass"] is False and doc["equality_degrees"] == []
+    assert [c["passed"] for c in doc["checks"]] == [True, False]
 
 
 def _fields(report):

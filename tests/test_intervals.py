@@ -21,10 +21,10 @@ fractions_st = st.fractions(min_value=-4, max_value=4)
 
 def test_interval_basics():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
-    assert iv.contains(Fraction(2, 5))
-    assert iv.entirely_above(Fraction(1, 4))
-    assert iv.entirely_below(Fraction(3, 5))
-    assert not iv.entirely_above(Fraction(1, 3))
+    assert iv.lo <= Fraction(2, 5) <= iv.hi
+    assert iv.lo > Fraction(1, 4)
+    assert iv.hi < Fraction(3, 5)
+    assert not iv.lo > Fraction(1, 3)
     with pytest.raises(ValueError):
         Interval(Fraction(1), Fraction(0))
 
@@ -36,7 +36,7 @@ def test_multiplication_encloses_products(a, b, c, d):
     y = Interval(min(c, d), max(c, d))
     prod = x * y
     for p in (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi):
-        assert prod.contains(p)
+        assert prod.lo <= p <= prod.hi
 
 
 def test_scale_and_subtract_signs():
@@ -65,13 +65,14 @@ def _reference(expr: str) -> Fraction:
 @pytest.mark.parametrize("terms", [4, 8, 16])
 def test_pi_enclosure_contains_pi(terms):
     iv = pi_enclosure(terms)
-    assert iv.contains(_reference("mp.pi"))
+    assert iv.lo <= _reference("mp.pi") <= iv.hi
 
 
 def test_pi_enclosure_shrinks_and_nests():
     ivs = [pi_enclosure(t) for t in (4, 8, 16)]
-    assert ivs[0].width() > ivs[1].width() > ivs[2].width()
-    assert ivs[2].width() < Fraction(1, 10**20)
+    widths = [iv.hi - iv.lo for iv in ivs]
+    assert widths[0] > widths[1] > widths[2]
+    assert widths[2] < Fraction(1, 10**20)
     for outer, inner in zip(ivs, ivs[1:]):
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
@@ -80,10 +81,10 @@ def test_pi_enclosure_shrinks_and_nests():
 def test_exp_enclosure_brackets(num):
     x = Fraction(num, 32)
     iv = exp_enclosure(x, 12)
-    assert iv.contains(_reference(f"mp.exp(mp.mpf({num}) / 32)"))
-    assert iv.width() < Fraction(1, 10**9)
+    assert iv.lo <= _reference(f"mp.exp(mp.mpf({num}) / 32)") <= iv.hi
+    assert iv.hi - iv.lo < Fraction(1, 10**9)
     tighter = exp_enclosure(x, 24)
-    assert tighter.width() < iv.width()
+    assert tighter.hi - tighter.lo < iv.hi - iv.lo
     assert iv.lo <= tighter.lo and tighter.hi <= iv.hi
 
 
@@ -92,12 +93,12 @@ def test_exp_enclosure_brackets(num):
 def test_sqrt_enclosure_brackets(x):
     iv = sqrt_enclosure(x, 40)
     assert iv.lo * iv.lo <= x <= iv.hi * iv.hi
-    assert iv.width() <= Fraction(1, 2**39)
+    assert iv.hi - iv.lo <= Fraction(1, 2**39)
 
 
 def test_sqrt_enclosure_exact_squares():
     iv = sqrt_enclosure(Fraction(9, 16), 20)
-    assert iv.contains(Fraction(3, 4))
+    assert iv.lo <= Fraction(3, 4) <= iv.hi
 
 
 def test_domain_errors():
@@ -107,3 +108,30 @@ def test_domain_errors():
         sqrt_enclosure(Fraction(-1), 8)
     with pytest.raises(ValueError):
         pi_enclosure(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exp_enclosure(-0.25, 8), "x must be an int or a Fraction, got -0.25"),
+        (lambda: exp_enclosure(True, 8), "x must be an int or a Fraction, got True"),
+        (lambda: sqrt_enclosure(0.25, 8), "x must be an int or a Fraction, got 0.25"),
+        (lambda: pi_enclosure(2.5), "terms must be an integer >= 1, got 2.5"),
+        (lambda: sqrt_enclosure(Fraction(1, 4), -1), "bits must be an integer >= 0, got -1"),
+        (lambda: exp_enclosure(Fraction(0), -3), "terms must be an integer >= 1, got -3"),
+    ],
+    ids=[
+        "exp-float", "exp-bool", "sqrt-float", "pi-float-terms", "sqrt-negative-bits",
+        "exp-zero-bad-terms",
+    ],
+)
+def test_enclosures_take_only_rationals_and_integer_counts(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_enclosures_take_ints():
+    assert exp_enclosure(0, 3) == Interval.point(1)
+    assert sqrt_enclosure(4, 3) == sqrt_enclosure(Fraction(4), 3)
+    assert sqrt_enclosure(Fraction(1, 4), 0) == Interval(Fraction(1, 2), Fraction(3, 4))

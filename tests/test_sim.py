@@ -85,6 +85,35 @@ def test_hypercube_graph():
     assert g.nbr[0].tolist() == [1, 2, 4]
 
 
+@pytest.mark.parametrize(
+    "build, n, d, pairs",
+    [
+        (lambda: complete_bipartite(4), 8, 4, [(u, 4 + v) for u in range(4) for v in range(4)]),
+        (lambda: cycle_graph(7), 7, 2, [(i, (i + 1) % 7) for i in range(7)]),
+        (
+            lambda: hypercube_graph(4),
+            16,
+            4,
+            [(x, x | 1 << b) for x in range(16) for b in range(4) if not x >> b & 1],
+        ),
+    ],
+    ids=["kdd", "cycle", "hypercube"],
+)
+def test_fixed_families_hand_from_edges_an_int_array(monkeypatch, build, n, d, pairs):
+    seen = []
+
+    def spy(node_count, degree, edges):
+        seen.append(edges)
+        return from_edges(node_count, degree, edges)
+
+    monkeypatch.setattr(sim, "from_edges", spy)
+    g = build()
+    assert len(seen) == 1
+    assert isinstance(seen[0], np.ndarray) and seen[0].dtype.kind == "i"
+    assert seen[0].tolist() == [list(p) for p in pairs]  # the pairs, in the same order
+    assert g == from_edges(n, d, pairs)
+
+
 def test_petersen_graph():
     g = petersen_graph()
     assert g.node_count == 10 and g.edge_count == 15 and g.degree == 3
