@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, NamedTuple
 
 from .intervals import Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
 from .ngraph import binomial_row, check_degree, check_integer, check_tau
@@ -69,8 +68,7 @@ def alpha(tau: int, d: int) -> Fraction:
     return HALF + Fraction(_gains(d, [check_tau(tau, d)])[0], 4 ** (d - 1))
 
 
-@dataclass(frozen=True)
-class AlphaValue:
+class AlphaValue(NamedTuple):
     degree: int
     tau: int
     value: Fraction
@@ -151,8 +149,7 @@ def tau_formula(d: int) -> int:
 # Lower bounds of the form 1/2 + c / sqrt(d)
 
 
-@dataclass(frozen=True)
-class SqrtBound:
+class SqrtBound(NamedTuple):
     """The irrational bound 1/2 + sqrt(coeff_sq / d), compared exactly.
 
     Comparisons square out the root: for a rational r >= 1/2,
@@ -198,8 +195,7 @@ def shearer_bound(d: int) -> SqrtBound:
     return SqrtBound(SHEARER_COEFF_SQ, check_degree(d))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     degree: int
     tau: int
     gain: int  # (alpha - 1/2) * 4^(d-1): exact
@@ -216,8 +212,7 @@ class BoundCheck:
         return (self.gain * self.gain * self.degree << 10) - (81 << 4 * (self.degree - 1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     d_max: int
     checks: tuple[BoundCheck, ...]
     all_pass: bool
@@ -339,8 +334,7 @@ def tail_power(j: int, delta: int) -> Fraction:
     return (1 - Fraction(j * j, 32 * delta)) ** delta
 
 
-@dataclass(frozen=True)
-class EstimateCheck:
+class EstimateCheck(NamedTuple):
     name: str
     n: int | None
     j: int | None
@@ -352,8 +346,7 @@ class EstimateCheck:
     precision: int
 
 
-@dataclass(frozen=True)
-class AppendixEstimateReport:
+class AppendixEstimateReport(NamedTuple):
     checks: tuple[EstimateCheck, ...]
     all_hold: bool
     conclusive: bool

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -230,8 +230,8 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
     if missing:
         raise ValueError(f"family {family} needs {' and '.join(missing)}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    if args.entropy:
-        seed = secrets.randbits(64)
+    if args.entropy:  # 8 bytes: the whole 0..2^64-1 range, without loading OpenSSL
+        seed = int.from_bytes(os.urandom(8), "little")
         print(f"entropy seed: {seed}", file=sys.stderr)
     return build(args, seed), seed
 

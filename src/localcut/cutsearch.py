@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator
+from typing import Dict, Iterator, NamedTuple
 
 from .ngraph import (
     SIDES, Neighbourhood, WeightedNgraph, all_neighbourhoods, check_degree, check_tau,
@@ -155,8 +155,7 @@ def matching_threshold(g: WeightedNgraph, cut: CutAssignment) -> int | None:
 # Weighted MaxSAT export
 
 
-@dataclass(frozen=True)
-class WcnfClause:
+class WcnfClause(NamedTuple):
     weight: int
     literals: tuple[int, int]
 

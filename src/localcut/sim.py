@@ -23,8 +23,10 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from itertools import islice, product
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union,
+)
 
 import numpy as np
 
@@ -260,7 +262,8 @@ def random_triangle_free(n: int, d: int, seed: int) -> RegularGraph:
 
 
 # Edge-list lines per chunk in write_edge_list and read_edge_list: it bounds
-# the text formatted and the tokens parsed at once, not the lines read.
+# the text formatted, read and parsed at once. `_EDGE_TEXT` keeps some 650
+# bytes of backtracking state a line, so 2^14 lines would hold about 10 MiB.
 EDGE_CHUNK = 1 << 10
 
 
@@ -273,37 +276,53 @@ def write_edge_list(fh: TextIO, g: RegularGraph) -> None:
         fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-# Stripped edge-list lines, each ended by "\n": exactly two tokens a line,
-# as str.split() counts them (regex \s and str.isspace() agree).
-_EDGE_LINES = re.compile(r"(?:\S+[^\S\n]+\S+\n)*")
+# Edge-list text that np.fromstring reads as int() would: lines that are
+# blank or hold two ASCII tokens amid spaces and tabs. A token has at most 18
+# digits, below int64's 19, because np.fromstring saturates silently.
+_EDGE_LINE = r"[ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?"
+_EDGE_TEXT = re.compile(rf"(?:{_EDGE_LINE}\n)*{_EDGE_LINE}")
 
 
 def read_edge_list(fh: TextIO) -> RegularGraph:
-    """Parse write_edge_list's format; blank lines and surrounding whitespace are ignored."""
-    lines = [line for line in map(str.strip, fh) if line]
-    if not lines:
+    """Parse write_edge_list's format; blank lines and surrounding whitespace are ignored.
+
+    Reads EDGE_CHUNK lines at a time. numpy's tokeniser parses a chunk that
+    `_EDGE_TEXT` matches; any other chunk goes line by line through int(),
+    which also takes forms such as "+5" and "1_000". The header's edge count
+    is checked against the whole file before a bad line is named.
+    """
+    header = next((line for line in map(str.strip, fh) if line), None)
+    if header is None:
         raise ValueError("empty edge list")
     try:
-        n, m, d = map(int, lines[0].split())
+        n, m, d = map(int, header.split())
     except ValueError:
-        raise ValueError(f"expected header 'n m d', got {lines[0]!r}") from None
-    if len(lines) - 1 != m:
-        raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    ends = np.empty(2 * m, dtype=np.intp)
-    try:
-        for i in range(0, m, EDGE_CHUNK):
-            body = "\n".join(lines[1 + i : 1 + i + EDGE_CHUNK] + [""])
-            if not _EDGE_LINES.fullmatch(body):
-                raise ValueError
-            ends[2 * i : 2 * (i + EDGE_CHUNK)] = list(map(int, body.split()))
-    except (ValueError, OverflowError):
-        for line in lines[1:]:  # the first line at fault, for the message
-            try:
-                np.array(list(map(int, line.split())), dtype=np.intp).reshape(2)
-            except (ValueError, OverflowError):
-                raise ValueError(f"expected 'u v', got {line!r}") from None
-        raise
-    return from_edges(n, d, ends.reshape(-1, 2))
+        raise ValueError(f"expected header 'n m d', got {header!r}") from None
+    parts = [np.empty(0, dtype=np.intp)]
+    found, bad = 0, None  # edge lines, and the message naming the first bad one
+    while lines := list(islice(fh, EDGE_CHUNK)):
+        text = "".join(lines)
+        if _EDGE_TEXT.fullmatch(text):
+            if not text.isspace():  # numpy reads blank text as [0]
+                parts.append(np.fromstring(text, dtype=np.intp, sep=" "))
+                found += len(parts[-1]) // 2
+            continue
+        ends = []
+        for line in filter(None, map(str.strip, lines)):
+            found += 1
+            if bad is None:
+                try:
+                    pair = np.array(list(map(int, line.split())), dtype=np.intp).reshape(2)
+                except (ValueError, OverflowError):
+                    bad = f"expected 'u v', got {line!r}"
+                else:
+                    ends += pair.tolist()
+        parts.append(np.array(ends, dtype=np.intp))
+    if found != m:
+        raise ValueError(f"header declares {m} edges, found {found}")
+    if bad is not None:
+        raise ValueError(bad)
+    return from_edges(n, d, np.concatenate(parts).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +551,7 @@ class VirtualNeighbourCut:
 AlgorithmSpec = Union[UniformCut, ThresholdCut, ShearerCut, VirtualNeighbourCut]
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Monte Carlo estimate of the expected cut weight.
 
     mean is total cut edges over trials * edge_count; stderr is the sample
@@ -664,7 +682,7 @@ def empirical_joint_distribution(
 
 
 def _scalars(stats: TrialStats) -> dict:
-    return {f: getattr(stats, f) for f in TrialStats.__dataclass_fields__ if f != "per_edge"}
+    return {f: getattr(stats, f) for f in TrialStats._fields if f != "per_edge"}
 
 
 def _value(x) -> str:

@@ -11,7 +11,8 @@ max-cut oracle scans every pair of side masks on an int64 grid, the WCNF
 text oracle writes one clause pair per node pair from `scaled`, and the
 MaxSAT oracle scores every assignment of a WCNF document's variables.  The
 table parser reads `build-ngraph`'s text back, and `cut_fraction` scores a
-labelled graph edge by edge, apart from the Monte Carlo runner's XOR tally.
+labelled graph edge by edge, apart from the Monte Carlo runner's XOR tally,
+and `edge_list_by_lines` reads an edge list line by line through `int()`.
 """
 
 from __future__ import annotations
@@ -109,6 +110,34 @@ def set_graph(node_count, degree, edges):
             raise ValueError(f"node {u} has degree {len(s)}, above the declared bound {degree}")
     triangles = sorted((u, v) for u, a in enumerate(nbrs) for v in a if u < v and a & nbrs[v])
     return [sorted(s) for s in nbrs], triangles
+
+
+def edge_list_by_lines(text: str):
+    """(n, d, edges) of an edge-list text, read one stripped line at a time.
+
+    An independent route to `sim.read_edge_list`'s chunked reader: it holds
+    every nonblank line, checks the header and its edge count, then names
+    the first line that is not two `int()` tokens within int64.
+    """
+    lines = [line.strip() for line in text.split("\n") if line.strip()]
+    if not lines:
+        raise ValueError("empty edge list")
+    try:
+        n, m, d = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"expected header 'n m d', got {lines[0]!r}") from None
+    if len(lines) - 1 != m:
+        raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
+    edges = []
+    for line in lines[1:]:
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"expected 'u v', got {line!r}") from None
+        if not all(-(2**63) <= x < 2**63 for x in (u, v)):
+            raise ValueError(f"expected 'u v', got {line!r}")
+        edges.append((u, v))
+    return n, d, edges
 
 
 def neighbour_lists(g):

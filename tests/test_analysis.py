@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +41,8 @@ from localcut.analysis import (
     _decide,
     _gains,
 )
-from localcut.cutsearch import ThresholdRule, evaluate_cut, threshold_assignment
+from localcut import sim
+from localcut.cutsearch import ThresholdRule, evaluate_cut, export_wcnf, threshold_assignment
 from localcut.intervals import Interval, exp_enclosure
 from localcut.ngraph import build_ngraph
 import oracles
@@ -258,8 +258,8 @@ def test_bound_report_writer_matches_the_encoder(d_max):
 
 def test_bound_report_writer_prints_failures():
     report = verify_theorem_bound(3)
-    failed = replace(report.checks[1], passed=False)
-    report = replace(report, checks=(report.checks[0], failed), all_pass=False)
+    failed = report.checks[1]._replace(passed=False)
+    report = report._replace(checks=(report.checks[0], failed), all_pass=False)
     text = format_bound_report_json(report)
     doc = json.loads(text)
     assert json.dumps(doc, indent=2) + "\n" == text
@@ -285,10 +285,50 @@ def test_pascal_carried_bound_matches_the_term_walk():
 def test_bound_checks_store_the_gain_and_not_the_margin():
     # the margin has about twice the gain's bits; it is built on read, from
     # the same integers that decided passed and equality
-    assert [f.name for f in fields(BoundCheck)] == ["degree", "tau", "gain", "passed", "equality"]
+    assert BoundCheck._fields == ("degree", "tau", "gain", "passed", "equality")
     for c in verify_theorem_bound(40).checks:
         assert c.margin == c.gain**2 * 1024 * c.degree - 81 * 16 ** (c.degree - 1)
         assert (c.passed, c.equality) == (c.margin >= 0, c.margin == 0)
+
+
+_RECORDS = {  # each output record as the package builds it, and its fields in order
+    "AlphaValue": (lambda: alpha_sweep(3)[2], ("degree", "tau", "value")),
+    "SqrtBound": (lambda: threshold_bound(4), ("coeff_sq", "degree")),
+    "BoundCheck": (
+        lambda: verify_theorem_bound(4).checks[2],
+        ("degree", "tau", "gain", "passed", "equality"),
+    ),
+    "BoundReport": (
+        lambda: verify_theorem_bound(4),
+        ("d_max", "checks", "all_pass", "equality_degrees"),
+    ),
+    "EstimateCheck": (
+        lambda: verify_appendix_estimates([1500]).checks[0],
+        ("name", "n", "j", "lo", "hi", "threshold", "relation", "status", "precision"),
+    ),
+    "AppendixEstimateReport": (
+        lambda: verify_appendix_estimates([1500]),
+        ("checks", "all_hold", "conclusive"),
+    ),
+    "TrialStats": (
+        lambda: sim.monte_carlo(sim.complete_bipartite(3), sim.UniformCut(), 10, 7),
+        (
+            "trials", "mean", "stderr", "seed", "edge_count", "per_edge",
+            "clean_edge_mean", "flagged_edge_mean", "flagged_edge_fraction",
+        ),
+    ),
+    "WcnfClause": (lambda: export_wcnf(build_ngraph(2)).clauses[0], ("weight", "literals")),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_output_records_keep_their_fields_and_refuse_assignment(name):
+    build, fields = _RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name and type(record)._fields == fields
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def _exact_decision(gain, d):

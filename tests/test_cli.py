@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -280,7 +279,7 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     real = analysis.verify_theorem_bound
 
     def failing(d_max):
-        return dataclasses.replace(real(d_max), all_pass=False)
+        return real(d_max)._replace(all_pass=False)
 
     monkeypatch.setattr(cli.analysis, "verify_theorem_bound", failing)
     code, out, _ = run(capsys, "verify", "--bound", "--dmax", "10")
@@ -292,9 +291,7 @@ def test_verify_reports_inconclusive_with_exit_1(capsys, monkeypatch):
     real = analysis.verify_appendix_estimates
 
     def inconclusive(ns, precision_cap):
-        return dataclasses.replace(
-            real(ns, precision_cap=precision_cap), conclusive=False
-        )
+        return real(ns, precision_cap=precision_cap)._replace(conclusive=False)
 
     monkeypatch.setattr(cli.analysis, "verify_appendix_estimates", inconclusive)
     assert run(capsys, "verify", "--appendix", "1500")[0] == 1
@@ -613,6 +610,42 @@ def test_entropy_flag_prints_the_chosen_seed(capsys):
     assert "entropy seed:" in err
     seed = int(err.split("entropy seed:")[1].split()[0])
     assert json.loads(out)["seed"] == seed
+
+
+@pytest.mark.parametrize(
+    "raw, seed", [(b"\xff" * 8, 2**64 - 1), (b"\x00" * 8, 0)], ids=["max", "zero"]
+)
+def test_entropy_seeds_span_the_64_bit_range(capsys, monkeypatch, raw, seed):
+    asked = []
+    monkeypatch.setattr(cli.os, "urandom", lambda k: asked.append(k) or raw)
+    argv = ("simulate", "--family", "kdd", "--d", "2", "--alg", "uniform", "--trials", "10")
+    code, out, err = run(capsys, *argv, "--entropy")
+    assert (code, asked, err) == (0, [8], f"entropy seed: {seed}\n")
+    assert json.loads(out)["seed"] == seed
+    assert run(capsys, *argv, "--seed", str(seed)) == (0, out, "")
+
+
+def test_cli_runs_without_loading_openssl():
+    """`--entropy` reads os.urandom: no command loads `secrets`, `hmac` or `_hashlib`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from localcut import cli\n"
+        "assert cli.main(['sweep', '--d', '5']) == 0\n"
+        "print(sorted({'secrets', 'hmac', '_hashlib'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0 and proc.stderr == "[]\n", proc.stderr
+    assert proc.stdout.startswith("d,tau,alpha_num,alpha_den,alpha_float\n")
 
 
 def test_console_script_is_installed(tmp_path):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +43,7 @@ from localcut.sim import (
     write_edge_list,
     write_trial_stats_csv,
 )
+import oracles
 from oracles import (
     cut_fraction,
     expected_cut_weight_exhaustive,
@@ -479,6 +480,76 @@ def test_edge_lists_span_chunks_and_name_the_bad_line():
         read_edge_list(io.StringIO("4 2 3\n0 1 2\n3\n"))
 
 
+# texts that numpy's tokeniser must not read, or that int() reads and it
+# would not: each result is the line-by-line reader's
+_EDGE_TEXTS = {
+    "blank lines and tabs": ("4 3 3\n\n0\t1\n \t\n  1  2 \t\n\n2\t 3\n\n", [(0, 1), (1, 2), (2, 3)]),
+    "plus sign": ("6 2 3\n+5 0\n1 2\n", [(5, 0), (1, 2)]),
+    "underscore": ("1001 1 3\n1_000 0\n", [(1000, 0)]),
+    "non-ASCII digits": ("4 1 3\n\u0663 \u06f0\n", [(3, 0)]),
+    "19 digits, zero-led": ("4 1 3\n0 0000000000000000003\n", [(0, 3)]),
+    "19 digits, int64 max": (
+        "4 1 3\n0 9223372036854775807\n",
+        "edge (0, 9223372036854775807) out of range for 4 nodes",
+    ),
+    "19 digits, past int64": (
+        "4 1 3\n0 9223372036854775808\n", "expected 'u v', got '0 9223372036854775808'"
+    ),
+    "20 digits": ("4 1 3\n1 99999999999999999999\n", "expected 'u v', got '1 99999999999999999999'"),
+    "count before a bad line": ("4 2 3\n0 1\nx 2\n2 3\n", "header declares 2 edges, found 3"),
+    "first bad line": ("4 3 3\n0 1\n1 2 3\n2 x\n", "expected 'u v', got '1 2 3'"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, sim.EDGE_CHUNK])
+@pytest.mark.parametrize("case", _EDGE_TEXTS)
+def test_edge_list_chunks_read_what_int_reads(monkeypatch, case, chunk):
+    text, want = _EDGE_TEXTS[case]
+    monkeypatch.setattr(sim, "EDGE_CHUNK", chunk)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            read_edge_list(io.StringIO(text))
+        assert str(err.value) == want
+        with pytest.raises(ValueError) as err:
+            from_edges(*oracles.edge_list_by_lines(text))
+        assert str(err.value) == want
+    else:
+        n, d, edges = oracles.edge_list_by_lines(text)
+        assert edges == want
+        assert read_edge_list(io.StringIO(text)) == from_edges(n, d, edges)
+
+
+_EDGE_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "03", "+1", "-1", "1_0", "\u0663", "x", "0.5",
+     "9223372036854775807", "9223372036854775808", "99999999999999999999"]
+)
+_EDGE_GAPS = st.sampled_from([" ", "\t", " \t ", "\r", "\x0c", "\u3000"])
+
+
+def _outcome(read):
+    try:
+        g = read()
+    except ValueError as exc:
+        return str(exc)
+    return g.node_count, g.degree, g.nbr.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(_EDGE_TOKENS, max_size=3), _EDGE_GAPS, _EDGE_GAPS), max_size=8),
+    st.sampled_from([0, 0, 1, -1]),
+    st.sampled_from(["", "\n", "\n\n"]),
+    st.sampled_from([1, 3, sim.EDGE_CHUNK]),
+)
+def test_edge_list_reader_matches_the_line_reader(rows, miscount, end, chunk):
+    lines = [lead + gap.join(tokens) + gap for tokens, lead, gap in rows]
+    m = sum(1 for line in lines if line.strip()) + miscount
+    text = f"4 {m} 3\n" + "\n".join(lines) + end
+    with mock.patch.object(sim, "EDGE_CHUNK", chunk):
+        got = _outcome(lambda: read_edge_list(io.StringIO(text)))
+    assert got == _outcome(lambda: from_edges(*oracles.edge_list_by_lines(text)))
+
+
 # ---------------------------------------------------------------------------
 # Node rules
 
@@ -789,7 +860,7 @@ def test_monte_carlo_tally_is_independent_of_the_block_width(case, monkeypatch):
     assert (bits > sim.BLOCK_SLOTS) == case.startswith("long")
     want, want_counts = run(False), run(True)
     # the per-edge tally is skipped without per_edge; the rest must not move
-    assert replace(want_counts, per_edge=None) == want
+    assert want_counts._replace(per_edge=None) == want
     assert (want.flagged_edge_mean is None) == (case == "petersen-shearer")
     for slots in (1, 17 * bits):  # FEW_TRIALS a block, C Philox; 17, the rounds
         monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
