@@ -32,6 +32,6 @@ for c in estimates.checks:
           f"{float(c.threshold):>9.4f}  {c.status}")
 
 print()
-print("every interval clears its threshold at the base precision; a check that")
-print("could not be decided would escalate precision and, at the cap, report")
-print("itself inconclusive rather than pass.")
+print("every interval clears its threshold at 16 series terms; a check whose")
+print("interval straddled its threshold would report itself inconclusive")
+print("rather than pass.")

@@ -20,7 +20,7 @@ and certifies the binomial tail estimates behind the guarantee.
 Irrational bounds are never evaluated in floating point where a decision is
 made: comparisons use the squared form ((r - 1/2)^2 * d vs the squared
 coefficient), and the tail estimates use rational interval enclosures of pi
-and e^(-j^2/32) with escalating precision.
+and e^(-j^2/32) at one fixed precision, tight enough to decide every check.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import IO, Callable, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .intervals import Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
 from .ngraph import binomial_row, check_degree, check_integer, check_tau
@@ -306,7 +306,9 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
 
 MIN_TAIL_N = 1500
 TAIL_J = (1, 2, 3, 4)
-DEFAULT_PRECISION_CAP = 4096
+# 16 terms give enclosures at most 4e-20 wide; the narrowest margin is about 1/(8n)
+PRECISION = 16  # series terms of the pi and e^(-j^2/32) enclosures
+ROOT_BITS = 64  # bits of the sqrt(pi n) enclosure
 
 
 def tail_offset(j: int, n: int) -> int:
@@ -356,68 +358,26 @@ def _decide(
     name: str,
     n: int | None,
     j: int | None,
-    make_interval: Callable[[int], Interval],
+    iv: Interval,
     threshold: Fraction,
     relation: str,
-    precision_cap: int,
 ) -> EstimateCheck:
-    """Escalate precision until the interval clears the threshold, or give up.
+    """Compare an enclosure with its threshold; never silently passes.
 
-    Precision starts at 16 and doubles, the last step clamped to the cap.
-    Never silently passes: if the cap is reached with the threshold still
-    inside the interval, the check is reported as inconclusive.
+    The check holds or fails only when the whole interval lies on one side of
+    the threshold; an interval that straddles it is reported as inconclusive.
     """
-    if relation not in (">", "<"):
+    if relation == ">":
+        holds, fails = iv.lo > threshold, iv.hi <= threshold
+    elif relation == "<":
+        holds, fails = iv.hi < threshold, iv.lo >= threshold
+    else:
         raise ValueError(f"unknown relation {relation!r}")
-    below = relation == "<"  # decided as ">" on the negated interval and threshold
-    bar = -threshold if below else threshold
-    precision = 16
-    while True:
-        iv = make_interval(precision)
-        view = iv.scale(-1) if below else iv
-        if view.lo > bar:
-            status = "holds"
-        elif view.hi <= bar:
-            status = "fails"
-        elif precision < precision_cap:
-            precision = min(2 * precision, precision_cap)
-            continue
-        else:
-            status = "inconclusive"
-        break
-    return EstimateCheck(
-        name=name,
-        n=n,
-        j=j,
-        lo=iv.lo,
-        hi=iv.hi,
-        threshold=threshold,
-        relation=relation,
-        status=status,
-        precision=precision,
-    )
+    status = "holds" if holds else "fails" if fails else "inconclusive"
+    return EstimateCheck(name, n, j, iv.lo, iv.hi, threshold, relation, status, PRECISION)
 
 
-def _times_root_pi_n(x: Fraction, n: int) -> Callable[[int], Interval]:
-    """The enclosure p -> sqrt(pi n) * x, from pi to p series terms."""
-
-    def enclose(p: int) -> Interval:
-        pi_n = pi_enclosure(p).scale(n)
-        bits = max(32, 4 * p)
-        root = Interval(sqrt_enclosure(pi_n.lo, bits).lo, sqrt_enclosure(pi_n.hi, bits).hi)
-        return root * Interval.point(x)
-
-    return enclose
-
-
-def _over_gaussian(x: Fraction, j: int) -> Callable[[int], Interval]:
-    """The enclosure p -> x / e^(-j^2/32), from p terms of the exp series."""
-    return lambda p: Interval.point(x) * exp_enclosure(Fraction(-j * j, 32), p).reciprocal()
-
-
-def verify_appendix_estimates(
-    ns: Iterable[int], precision_cap: int = DEFAULT_PRECISION_CAP
-) -> AppendixEstimateReport:
+def verify_appendix_estimates(ns: Iterable[int]) -> AppendixEstimateReport:
     """Certify the binomial tail estimates used by the lower-bound proof.
 
     For each n (all must be >= 1500):
@@ -430,14 +390,14 @@ def verify_appendix_estimates(
 
     Exact rational quantities get zero-width intervals; quantities involving
     pi or e^(-j^2/32) are normalised so the enclosed side carries the
-    irrational factor and the threshold stays rational.  Precision starts
-    at 16 and stops at `precision_cap` (>= 16).
+    irrational factor and the threshold stays rational.  pi and each
+    e^(-j^2/32) are enclosed once per report, to `PRECISION` series terms,
+    and square roots to `ROOT_BITS` bits.
 
     Each n takes one C(2n, n), walked out to delta_4 by small-factor ratios
     (`_central_row`); the window masses are sums of that row, and each
     off-centre ratio is one entry of it over C(2n, n).
     """
-    precision_cap = check_integer(precision_cap, 16, math.inf, "precision cap must be >= 16")
     what = f"estimates are only claimed for n >= {MIN_TAIL_N}"
     # integers first, so that sorting compares ints; then the smallest n out of range
     ns = sorted({check_integer(n, -math.inf, math.inf, what) for n in ns})
@@ -445,18 +405,22 @@ def verify_appendix_estimates(
         raise ValueError("need at least one n")
     ns = [check_integer(n, MIN_TAIL_N, math.inf, what) for n in ns]
 
+    pi = pi_enclosure(PRECISION)
+    # 1 / e^(-j^2/32), so that each off-centre check scales it by a positive rational
+    over_gauss = {j: exp_enclosure(Fraction(-j * j, 32), PRECISION).reciprocal() for j in TAIL_J}
     share = Fraction("0.995")  # of e^(-j^2/32), for the off-centre checks
-    entries = []  # (name, n, j, enclosure, threshold, relation)
+    entries = []  # (name, n, j, interval, threshold, relation)
     for n in ns:
         delta4 = tail_offset(4, n)
         row = _central_row(n, delta4)  # C(2n, n + i), i = 0..delta_4
         scale = 4**n
-        central = _times_root_pi_n(Fraction(row[0], scale), n)  # sqrt(pi n) C(2n, n) / 4^n
+        lo, hi = (sqrt_enclosure(end * n, ROOT_BITS) for end in (pi.lo, pi.hi))
+        central = Interval(lo.lo, hi.hi).scale(Fraction(row[0], scale))  # sqrt(pi n) C(2n,n)/4^n
         entries.append(("central_mass_lower", n, None, central, Fraction("0.999"), ">"))
         entries.append(("central_mass_upper", n, None, central, Fraction(1), "<"))
         for j in TAIL_J:
             ratio = Fraction(row[tail_offset(j, n)], row[0])
-            entries.append(("offcentre_mass", n, j, _over_gaussian(ratio, j), share, ">"))
+            entries.append(("offcentre_mass", n, j, over_gauss[j].scale(ratio), share, ">"))
         # sum of C(2n, n + i) over |i| < delta_4 by symmetry, then its right column
         inner = row[0] + 2 * sum(row[1:delta4])
         for name, mass, bar in (
@@ -464,13 +428,13 @@ def verify_appendix_estimates(
             ("window_mass_trimmed", inner, "0.5975"),
         ):
             point = Interval.point(Fraction(mass, scale))
-            entries.append((name, n, None, lambda p, iv=point: iv, Fraction(bar), ">"))
+            entries.append((name, n, None, point, Fraction(bar), ">"))
 
     for j in TAIL_J:
         power = tail_power(j, tail_offset(j, MIN_TAIL_N))
-        entries.append(("offcentre_power", None, j, _over_gaussian(power, j), share, ">"))
+        entries.append(("offcentre_power", None, j, over_gauss[j].scale(power), share, ">"))
 
-    checks = [_decide(*entry, precision_cap) for entry in entries]
+    checks = [_decide(*entry) for entry in entries]
     return AppendixEstimateReport(
         checks=tuple(checks),
         all_hold=all(c.status == "holds" for c in checks),

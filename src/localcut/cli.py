@@ -192,9 +192,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.bound == (args.appendix is not None):
         raise ValueError("pass exactly one of --bound or --appendix")
-    # each mode's option is a usage error in the other mode
-    if args.bound and args.precision_cap is not None:
-        raise ValueError("--precision-cap does not apply to --bound")
     if args.appendix is not None and args.dmax is not None:
         raise ValueError("--dmax does not apply to --appendix")
     # the report is computed before --out is opened, so a usage error leaves
@@ -205,8 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = report.all_pass
     else:
         ns = [int(x) for x in args.appendix.split(",") if x]
-        cap = analysis.DEFAULT_PRECISION_CAP if args.precision_cap is None else args.precision_cap
-        report = analysis.verify_appendix_estimates(ns, precision_cap=cap)
+        report = analysis.verify_appendix_estimates(ns)
         text = json.dumps(analysis.appendix_report_json(report), indent=2) + "\n"
         ok = report.all_hold and report.conclusive
     with _output(args.out) as fh:
@@ -348,18 +344,12 @@ def _make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="integer comparison of alpha(tau(d), d) against 1/2 + 9/(32 sqrt(d))",
     )
-    # None marks --dmax / --precision-cap as unset, so cmd_verify can reject
-    # one given in the other mode
+    # None marks --dmax as unset, so cmd_verify can reject it with --appendix
     p.add_argument("--dmax", type=int, help="largest degree checked")
     p.add_argument(
         "--appendix",
         metavar="N_LIST",
         help="certified tail estimates at these comma-separated n (each >= 1500)",
-    )
-    p.add_argument(
-        "--precision-cap",
-        type=int,
-        help="interval precision ceiling for --appendix, at least 16",
     )
     add_out(p)
     p.set_defaults(func=cmd_verify)

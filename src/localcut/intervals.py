@@ -9,8 +9,7 @@ enclosures take their argument only as an int or a Fraction, and their term
 or bit counts only as integers; anything else is a ValueError.
 
 A comparison against a threshold is decisive only when the whole interval
-falls on one side; callers escalate precision (more series terms / more bits)
-until it does, or give up and report the check as inconclusive.
+falls on one side; callers report any other check as inconclusive.
 """
 
 from __future__ import annotations
@@ -40,15 +39,6 @@ class Interval:
 
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
 
     def scale(self, c: Fraction | int) -> "Interval":
         c = Fraction(c)

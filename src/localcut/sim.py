@@ -349,7 +349,7 @@ def like_counts(nbr_matrix: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 def apply_threshold_rule(nbr_matrix: np.ndarray, c1: np.ndarray, tau: int) -> np.ndarray:
     """Keep own bit while fewer than tau neighbours agree, else flip."""
-    return apply_virtual_rule(nbr_matrix, c1, c1[:0], tau)
+    return c1 ^ (like_counts(nbr_matrix, c1) >= tau)
 
 
 def apply_shearer_rule(

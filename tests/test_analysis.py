@@ -411,7 +411,7 @@ def test_appendix_offcentre_checks_match_comb_oracles():
             c = got["offcentre_mass", n, j]
             ratio = oracles.offset_ratio(n, tail_offset(j, n))
             gauss = exp_enclosure(Fraction(-j * j, 32), c.precision)
-            want = Interval.point(ratio) * gauss.reciprocal()
+            want = gauss.reciprocal().scale(ratio)
             assert (c.lo, c.hi) == (want.lo, want.hi)
 
 
@@ -442,34 +442,15 @@ def test_appendix_estimates_reject_small_n():
 
 
 def test_decision_engine_reports_inconclusive():
-    # an enclosure that never tightens across the threshold must not pass
+    # an enclosure that straddles the threshold must not pass
     wide = Interval(Fraction(0), Fraction(1))
-    check = _decide("stub", None, None, lambda p: wide, Fraction(1, 2), ">", 64)
+    check = _decide("stub", None, None, wide, Fraction(1, 2), ">")
     assert check.status == "inconclusive"
-    assert check.precision == 64
-
-
-def test_decision_engine_stops_at_the_cap():
-    seen = []
-
-    def never_decides(p: int) -> Interval:
-        seen.append(p)
-        return Interval(Fraction(0), Fraction(1))
-
-    check = _decide("stub", None, None, never_decides, Fraction(1, 2), ">", 100)
-    assert seen == [16, 32, 64, 100]
-    assert check.status == "inconclusive" and check.precision == 100
-
-
-def test_appendix_estimates_reject_a_cap_below_16():
-    with pytest.raises(ValueError, match="precision cap"):
-        verify_appendix_estimates([1500], precision_cap=8)
-
-
-@pytest.mark.parametrize("cap", (64.0, "64"))
-def test_appendix_estimates_reject_a_cap_that_is_not_an_integer_of_at_least_16(cap):
-    with pytest.raises(ValueError, match=r"^precision cap must be >= 16, got "):
-        verify_appendix_estimates([1500], precision_cap=cap)
+    assert check.precision == 16
+    assert (check.lo, check.hi) == (wide.lo, wide.hi)
+    # nor one that only touches it from above
+    check = _decide("stub", None, None, Interval(Fraction(1, 2), Fraction(1)), Fraction(1, 2), ">")
+    assert check.status == "inconclusive"
 
 
 @pytest.mark.parametrize("n", (1500.0, "1500"))
@@ -491,57 +472,54 @@ def test_appendix_estimates_name_the_smallest_n_out_of_range():
 
 
 def test_appendix_estimates_read_numpy_integers_as_python_ints():
-    want = verify_appendix_estimates([1500], precision_cap=64)
-    assert verify_appendix_estimates([np.int64(1500)], precision_cap=np.int64(64)) == want
+    want = verify_appendix_estimates([1500])
+    assert verify_appendix_estimates([np.int64(1500)]) == want
 
 
-def test_decision_engine_escalates_precision():
-    # width 1/p: conclusive only once p makes the interval clear 1/2
-    def shrinking(p: int) -> Interval:
-        return Interval(Fraction(1, 2) + Fraction(1, p), Fraction(1, 2) + Fraction(2, p))
+@pytest.mark.parametrize("ns", (range(1500, 1561), [10**4, 10**5]))
+def test_appendix_estimates_all_hold_at_precision_16(ns):
+    report = verify_appendix_estimates(ns)
+    assert len(report.checks) == 8 * len(ns) + 4
+    assert all((c.status, c.precision) == ("holds", 16) for c in report.checks)
+    assert report.all_hold and report.conclusive
+    # the widest enclosures (the off-centre ones) are about 3.7e-20 wide
+    assert max(c.hi - c.lo for c in report.checks) < Fraction(1, 10**19)
 
-    check = _decide("stub", None, None, shrinking, Fraction(1, 2), ">", 4096)
-    assert check.status == "holds"
-    check = _decide("stub", None, None, lambda p: Interval.point(Fraction(1, 3)), Fraction(1, 2), ">", 64)
+
+def test_decision_engine_reports_a_failure():
+    # an interval wholly on the wrong side of the threshold fails
+    check = _decide("stub", None, None, Interval.point(Fraction(1, 3)), Fraction(1, 2), ">")
+    assert (check.status, check.precision) == ("fails", 16)
+    # touching the threshold is not strictly above it
+    check = _decide("stub", None, None, Interval.point(Fraction(1, 2)), Fraction(1, 2), ">")
     assert check.status == "fails"
+    check = _decide("stub", 7, 2, Interval(Fraction(5, 8), Fraction(3, 4)), Fraction(1, 2), ">")
+    assert (check.status, check.n, check.j, check.lo) == ("holds", 7, 2, Fraction(5, 8))
 
 
 def test_decision_engine_below_the_threshold():
     half = Fraction(1, 2)
-
-    def point(x):
-        return lambda p: Interval.point(x)
-
-    check = _decide("stub", None, None, point(Fraction(1, 3)), half, "<", 64)
+    check = _decide("stub", None, None, Interval.point(Fraction(1, 3)), half, "<")
     assert (check.status, check.precision) == ("holds", 16)
-    check = _decide("stub", None, None, point(Fraction(2, 3)), half, "<", 64)
+    check = _decide("stub", None, None, Interval.point(Fraction(2, 3)), half, "<")
     assert (check.status, check.precision) == ("fails", 16)
     # touching the threshold is not strictly below it
-    check = _decide("stub", None, None, point(half), half, "<", 64)
+    check = _decide("stub", None, None, Interval.point(half), half, "<")
     assert (check.status, check.precision) == ("fails", 16)
+    check = _decide("stub", None, None, Interval(Fraction(1, 4), half), half, "<")
+    assert check.status == "inconclusive"
     wide = Interval(Fraction(0), Fraction(1))
-    check = _decide("stub", None, None, lambda p: wide, half, "<", 64)
-    assert (check.status, check.precision) == ("inconclusive", 64)
-    assert (check.lo, check.hi) == (wide.lo, wide.hi)
-
-
-def test_decision_engine_below_after_one_escalation():
-    seen = []
-
-    def shrinking(p: int) -> Interval:
-        # 3/8 +- 3/p: straddles 1/2 at p = 16, lies below it from p = 32 on
-        seen.append(p)
-        return Interval(Fraction(3, 8) - Fraction(3, p), Fraction(3, 8) + Fraction(3, p))
-
-    check = _decide("stub", 7, 2, shrinking, Fraction(1, 2), "<", 4096)
-    assert seen == [16, 32]
-    assert (check.status, check.precision, check.relation) == ("holds", 32, "<")
-    assert (check.n, check.j, check.hi) == (7, 2, Fraction(15, 32))
+    check = _decide("stub", 7, 2, wide, half, "<")
+    assert (check.status, check.precision, check.relation) == ("inconclusive", 16, "<")
+    assert (check.n, check.j, check.lo, check.hi) == (7, 2, wide.lo, wide.hi)
+    # 3/8 +- 3/32 lies wholly below 1/2
+    check = _decide("stub", None, None, Interval(Fraction(9, 32), Fraction(15, 32)), half, "<")
+    assert (check.status, check.hi) == ("holds", Fraction(15, 32))
 
 
 def test_decision_engine_rejects_an_unknown_relation():
     with pytest.raises(ValueError, match="unknown relation"):
-        _decide("stub", None, None, lambda p: Interval.point(1), Fraction(1, 2), ">=", 64)
+        _decide("stub", None, None, Interval.point(1), Fraction(1, 2), ">=")
 
 
 # ---------------------------------------------------------------------------

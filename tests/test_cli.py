@@ -236,26 +236,24 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--bound", "--dmax", "1")[0] == 2
     assert run(capsys, "verify", "--appendix", "1499")[0] == 2
     assert run(capsys, "verify", "--appendix", "xyz")[0] == 2
-    code, _, err = run(
-        capsys, "verify", "--bound", "--dmax", "10", "--precision-cap", "8"
-    )
-    assert code == 2 and "--precision-cap" in err
     code, _, err = run(capsys, "verify", "--appendix", "1500", "--dmax", "5")
     assert code == 2 and "--dmax" in err
 
 
-def test_verify_precision_cap_below_16_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--appendix", "1500", "--precision-cap", "8")
-    assert code == 2 and "precision cap" in err
+def test_verify_has_no_precision_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--appendix", "1500", "--precision-cap", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision-cap 64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("--appendix", "10"),
-        ("--appendix", "1500", "--precision-cap", "8"),
+        ("--appendix", "1500,x"),
         ("--bound", "--dmax", "1"),
-        ("--bound", "--dmax", "10", "--precision-cap", "8"),
+        ("--bound", "--appendix", "1500"),
         ("--appendix", "1500", "--dmax", "5"),
     ],
 )
@@ -290,8 +288,8 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
 def test_verify_reports_inconclusive_with_exit_1(capsys, monkeypatch):
     real = analysis.verify_appendix_estimates
 
-    def inconclusive(ns, precision_cap):
-        return real(ns, precision_cap=precision_cap)._replace(conclusive=False)
+    def inconclusive(ns):
+        return real(ns)._replace(conclusive=False)
 
     monkeypatch.setattr(cli.analysis, "verify_appendix_estimates", inconclusive)
     assert run(capsys, "verify", "--appendix", "1500")[0] == 1

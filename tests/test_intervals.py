@@ -16,8 +16,6 @@ from localcut.intervals import (
     sqrt_enclosure,
 )
 
-fractions_st = st.fractions(min_value=-4, max_value=4)
-
 
 def test_interval_basics():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
@@ -27,16 +25,6 @@ def test_interval_basics():
     assert not iv.lo > Fraction(1, 3)
     with pytest.raises(ValueError):
         Interval(Fraction(1), Fraction(0))
-
-
-@given(fractions_st, fractions_st, fractions_st, fractions_st)
-@settings(max_examples=100, deadline=None)
-def test_multiplication_encloses_products(a, b, c, d):
-    x = Interval(min(a, b), max(a, b))
-    y = Interval(min(c, d), max(c, d))
-    prod = x * y
-    for p in (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi):
-        assert prod.lo <= p <= prod.hi
 
 
 def test_scale_and_subtract_signs():
