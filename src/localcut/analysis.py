@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import IO, Iterable, NamedTuple
 
-from .intervals import Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
+from .intervals import TERMS, Interval, exp_enclosure, pi_enclosure, sqrt_enclosure
 from .ngraph import binomial_row, check_degree, check_integer, check_tau
 
 HALF = Fraction(1, 2)
@@ -306,9 +306,6 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
 
 MIN_TAIL_N = 1500
 TAIL_J = (1, 2, 3, 4)
-# 16 terms give enclosures at most 4e-20 wide; the narrowest margin is about 1/(8n)
-PRECISION = 16  # series terms of the pi and e^(-j^2/32) enclosures
-ROOT_BITS = 64  # bits of the sqrt(pi n) enclosure
 
 
 def tail_offset(j: int, n: int) -> int:
@@ -374,7 +371,7 @@ def _decide(
     else:
         raise ValueError(f"unknown relation {relation!r}")
     status = "holds" if holds else "fails" if fails else "inconclusive"
-    return EstimateCheck(name, n, j, iv.lo, iv.hi, threshold, relation, status, PRECISION)
+    return EstimateCheck(name, n, j, iv.lo, iv.hi, threshold, relation, status, TERMS)
 
 
 def verify_appendix_estimates(ns: Iterable[int]) -> AppendixEstimateReport:
@@ -391,8 +388,8 @@ def verify_appendix_estimates(ns: Iterable[int]) -> AppendixEstimateReport:
     Exact rational quantities get zero-width intervals; quantities involving
     pi or e^(-j^2/32) are normalised so the enclosed side carries the
     irrational factor and the threshold stays rational.  pi and each
-    e^(-j^2/32) are enclosed once per report, to `PRECISION` series terms,
-    and square roots to `ROOT_BITS` bits.
+    e^(-j^2/32) are enclosed once per report, at the fixed precision of
+    `intervals` (`TERMS` series terms, `ROOT_BITS`-bit square roots).
 
     Each n takes one C(2n, n), walked out to delta_4 by small-factor ratios
     (`_central_row`); the window masses are sums of that row, and each
@@ -405,16 +402,16 @@ def verify_appendix_estimates(ns: Iterable[int]) -> AppendixEstimateReport:
         raise ValueError("need at least one n")
     ns = [check_integer(n, MIN_TAIL_N, math.inf, what) for n in ns]
 
-    pi = pi_enclosure(PRECISION)
+    pi = pi_enclosure()
     # 1 / e^(-j^2/32), so that each off-centre check scales it by a positive rational
-    over_gauss = {j: exp_enclosure(Fraction(-j * j, 32), PRECISION).reciprocal() for j in TAIL_J}
+    over_gauss = {j: exp_enclosure(Fraction(-j * j, 32)).reciprocal() for j in TAIL_J}
     share = Fraction("0.995")  # of e^(-j^2/32), for the off-centre checks
     entries = []  # (name, n, j, interval, threshold, relation)
     for n in ns:
         delta4 = tail_offset(4, n)
         row = _central_row(n, delta4)  # C(2n, n + i), i = 0..delta_4
         scale = 4**n
-        lo, hi = (sqrt_enclosure(end * n, ROOT_BITS) for end in (pi.lo, pi.hi))
+        lo, hi = (sqrt_enclosure(end * n) for end in (pi.lo, pi.hi))
         central = Interval(lo.lo, hi.hi).scale(Fraction(row[0], scale))  # sqrt(pi n) C(2n,n)/4^n
         entries.append(("central_mass_lower", n, None, central, Fraction("0.999"), ">"))
         entries.append(("central_mass_upper", n, None, central, Fraction(1), "<"))

@@ -74,12 +74,12 @@ def _rational(x: Fraction) -> str:
 def _parse_degree_range(text: str) -> List[int]:
     """`a` or `a..b` (inclusive), degrees >= 2."""
     parts = text.split("..")
-    if len(parts) == 1:
-        lo = hi = int(parts[0])
-    elif len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-    else:
-        raise ValueError(f"expected 'a' or 'a..b', got {text!r}")
+    try:
+        if len(parts) > 2:
+            raise ValueError
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(f"expected 'a' or 'a..b', got {text!r}") from None
     ngraph.check_degree(lo)
     if hi < lo:
         raise ValueError(f"empty degree range {text!r}")
@@ -97,7 +97,12 @@ def _output(path: Optional[str]):
 
 def _seed(text: str) -> int:
     """An integer `--seed` in 0..2^64-1, the range seeds are keyed over."""
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in 0..2^64-1, got {text!r}"
+        ) from None
     if 0 <= seed <= sim.UINT64_MASK:
         return seed
     raise argparse.ArgumentTypeError(f"seed {seed} is outside 0..2^64-1")

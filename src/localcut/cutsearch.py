@@ -182,16 +182,8 @@ class WcnfDocument:
     graph: WeightedNgraph
 
     @property
-    def degree(self) -> int:
-        return self.graph.degree
-
-    @property
     def variable_count(self) -> int:
         return 2 * self.graph.degree + 2
-
-    @property
-    def var_nodes(self) -> tuple[Neighbourhood, ...]:
-        return tuple(self.graph.nodes)
 
     @property
     def clause_count(self) -> int:
@@ -246,8 +238,8 @@ def format_wcnf(doc: WcnfDocument) -> str:
     Written row by row from the graph's two profiles; `doc.clauses` is not
     built.
     """
-    lines = [f"c d = {doc.degree}"]
-    for i, n in enumerate(doc.var_nodes, start=1):
+    lines = [f"c d = {doc.graph.degree}"]
+    for i, n in enumerate(doc.graph.nodes, start=1):
         lines.append(f"c var {i} = ({n.side},{n.like_count})")
     lines.append(f"p wcnf {doc.variable_count} {doc.clause_count} {doc.top}")
     for u, row in _clause_rows(doc.graph):  # w printed once for both clauses

@@ -2,11 +2,12 @@
 
 The tail-estimate verifications need to compare exact binomial ratios against
 thresholds involving pi and e^(-j^2/32).  Those two constants are enclosed by
-converging rational bounds (bracketing partial sums of alternating series and
-scaled integer square roots), so every decision reduces to exact Fraction
+rational bounds (bracketing partial sums of alternating series and scaled
+integer square roots), so every decision reduces to exact Fraction
 comparisons: there is no floating point and no rounding mode anywhere.  The
-enclosures take their argument only as an int or a Fraction, and their term
-or bit counts only as integers; anything else is a ValueError.
+enclosures are computed at one fixed precision, `TERMS` series terms and
+`ROOT_BITS`-bit square roots, and take their argument only as an int or a
+Fraction; anything else is a ValueError.
 
 A comparison against a threshold is decisive only when the whole interval
 falls on one side; callers report any other check as inconclusive.
@@ -18,7 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ngraph import check_integer
+# 16 terms give enclosures at most 4e-20 wide; the narrowest margin is about 1/(8n)
+TERMS = 16  # series terms of the pi and e^x enclosures
+ROOT_BITS = 64  # bits of the sqrt enclosure
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,9 @@ class Interval:
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def scale(self, c: Fraction | int) -> "Interval":
+        """[lo * c, hi * c] for c >= 0; for c < 0 the ends invert, a ValueError unless lo == hi."""
         c = Fraction(c)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
+        return Interval(self.lo * c, self.hi * c)
 
     def reciprocal(self) -> "Interval":
         if self.lo <= 0:
@@ -65,31 +67,25 @@ def _arctan_enclosure(x: Fraction, terms: int) -> Interval:
     Valid for 0 < x < 1 and terms >= 1, where the terms decrease
     monotonically, so consecutive partial sums straddle the limit.
     """
-    if not 0 < x < 1:
-        raise ValueError("arctan enclosure needs 0 < x < 1")
-    s = Fraction(0)
+    prev = s = Fraction(0)
     power = x
     x2 = x * x
-    prev = None
     for k in range(terms + 1):
+        prev = s
         term = power / (2 * k + 1)
         s = s + term if k % 2 == 0 else s - term
         power *= x2
-        if k == terms - 1:
-            prev = s
-    assert prev is not None
     return Interval(min(prev, s), max(prev, s))
 
 
-def pi_enclosure(terms: int) -> Interval:
+def pi_enclosure() -> Interval:
     """Rational bounds on pi via pi = 16*arctan(1/5) - 4*arctan(1/239)."""
-    terms = check_integer(terms, 1, math.inf, "terms must be an integer >= 1")
-    a5 = _arctan_enclosure(Fraction(1, 5), terms)
-    a239 = _arctan_enclosure(Fraction(1, 239), max(2, terms // 2))
+    a5 = _arctan_enclosure(Fraction(1, 5), TERMS)
+    a239 = _arctan_enclosure(Fraction(1, 239), TERMS // 2)
     return a5.scale(16) - a239.scale(4)
 
 
-def exp_enclosure(x: Fraction, terms: int) -> Interval:
+def exp_enclosure(x: Fraction) -> Interval:
     """Rational bounds on e^x for -1 < x <= 0 via the alternating Taylor series.
 
     With |x| < 1 the terms x^k / k! decrease in absolute value from the start,
@@ -98,31 +94,23 @@ def exp_enclosure(x: Fraction, terms: int) -> Interval:
     x = _check_rational(x)
     if not -1 < x <= 0:
         raise ValueError("exp enclosure implemented for -1 < x <= 0 only")
-    terms = check_integer(terms, 1, math.inf, "terms must be an integer >= 1")
-    if x == 0:
-        return Interval.point(Fraction(1))
-    s = Fraction(1)
-    term = Fraction(1)
-    prev = None
-    for k in range(1, terms + 2):
+    prev = s = term = Fraction(1)
+    for k in range(1, TERMS + 2):
+        prev = s
         term = term * x / k
         s += term
-        if k == terms:
-            prev = s
-    assert prev is not None
     return Interval(min(prev, s), max(prev, s))
 
 
-def sqrt_enclosure(x: Fraction, bits: int) -> Interval:
-    """Rational bounds on sqrt(x) with 2^-bits resolution, via integer isqrt."""
+def sqrt_enclosure(x: Fraction) -> Interval:
+    """Rational bounds on sqrt(x) with 2^-ROOT_BITS resolution, via integer isqrt."""
     x = _check_rational(x)
-    bits = check_integer(bits, 0, math.inf, "bits must be an integer >= 0")
     if x < 0:
         raise ValueError("sqrt of a negative rational")
     if x == 0:
         return Interval.point(Fraction(0))
-    # sqrt(n/d) = sqrt(n*d)/d; bracket sqrt(n*d * 4^bits) between s and s+1
+    # sqrt(n/d) = sqrt(n*d)/d; bracket sqrt(n*d * 4^ROOT_BITS) between s and s+1
     n, d = x.numerator, x.denominator
-    s = math.isqrt(n * d << (2 * bits))
-    den = d << bits
+    s = math.isqrt(n * d << (2 * ROOT_BITS))
+    den = d << ROOT_BITS
     return Interval(Fraction(s, den), Fraction(s + 1, den))

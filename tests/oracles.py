@@ -475,6 +475,6 @@ def exhaustive_max_weight(doc) -> tuple[int, dict]:
     winners = [int(m) for m in np.nonzero(total == best)[0]]
     mask = min(winners, key=lex_key)
     labels = {
-        n: "a" if (mask >> i) & 1 else "b" for i, n in enumerate(doc.var_nodes)
+        n: "a" if (mask >> i) & 1 else "b" for i, n in enumerate(doc.graph.nodes)
     }
     return best, labels

@@ -43,7 +43,7 @@ from localcut.analysis import (
 )
 from localcut import sim
 from localcut.cutsearch import ThresholdRule, evaluate_cut, export_wcnf, threshold_assignment
-from localcut.intervals import Interval, exp_enclosure
+from localcut.intervals import TERMS, Interval, exp_enclosure
 from localcut.ngraph import build_ngraph
 import oracles
 from oracles import threshold_cut_probability
@@ -410,9 +410,9 @@ def test_appendix_offcentre_checks_match_comb_oracles():
         for j in TAIL_J:
             c = got["offcentre_mass", n, j]
             ratio = oracles.offset_ratio(n, tail_offset(j, n))
-            gauss = exp_enclosure(Fraction(-j * j, 32), c.precision)
-            want = gauss.reciprocal().scale(ratio)
+            want = exp_enclosure(Fraction(-j * j, 32)).reciprocal().scale(ratio)
             assert (c.lo, c.hi) == (want.lo, want.hi)
+            assert c.precision == TERMS
 
 
 def test_appendix_estimates_hold():

@@ -144,6 +144,14 @@ def test_solve_rejects_bad_ranges(capsys):
     assert run(capsys, "solve", "--d", "2..4..6")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["x", "2..", "2..x", "2..3..4"])
+def test_a_malformed_degree_range_names_the_expected_form(capsys, text):
+    for cmd in ("sweep", "solve"):
+        code, out, err = run(capsys, cmd, "--d", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected 'a' or 'a..b', got {text!r}\n"
+
+
 def test_export_wcnf(capsys):
     code, out, _ = run(capsys, "export-wcnf", "--d", "2")
     assert code == 0
@@ -449,6 +457,18 @@ def test_seed_outside_64_bits_is_a_usage_error(capsys, seed):
         assert "outside 0..2^64-1" in capsys.readouterr().err
     assert run(capsys, "gen-graph", "--family", "bipartite", "--n", "10", "--d", "3",
                "--seed", str(2**64 - 1))[0] == 0
+
+
+@pytest.mark.parametrize("seed", ["abc", "0x10", ""])
+def test_a_seed_that_is_not_an_integer_names_the_expected_form(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--family", "kdd", "--d", "3", "--alg", "threshold", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"error: argument --seed: seed must be an integer in 0..2^64-1, got {seed!r}\n"
+    )
+    assert "_seed" not in err
 
 
 # what each --family reads, with values that build a graph

@@ -1,4 +1,4 @@
-"""Interval arithmetic sanity: enclosures really enclose, and shrink."""
+"""Interval arithmetic sanity: enclosures really enclose, at the fixed precision."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcut.intervals import (
+    ROOT_BITS,
     Interval,
     exp_enclosure,
     pi_enclosure,
@@ -29,9 +30,15 @@ def test_interval_basics():
 
 def test_scale_and_subtract_signs():
     iv = Interval(Fraction(1), Fraction(2))
-    assert iv.scale(-3) == Interval(Fraction(-6), Fraction(-3))
+    assert iv.scale(3) == Interval(Fraction(3), Fraction(6))
+    assert iv.scale(0) == Interval.point(0)
     diff = iv - Interval(Fraction(1, 2), Fraction(1))
     assert diff == Interval(Fraction(0), Fraction(3, 2))
+
+
+def test_scale_by_a_negative_factor_is_an_error():
+    with pytest.raises(ValueError, match="inverted interval"):
+        Interval(Fraction(1), Fraction(2)).scale(-3)
 
 
 def test_reciprocal_requires_positive():
@@ -50,68 +57,51 @@ def _reference(expr: str) -> Fraction:
         return Fraction(mpmath.nstr(value, 55))
 
 
-@pytest.mark.parametrize("terms", [4, 8, 16])
-def test_pi_enclosure_contains_pi(terms):
-    iv = pi_enclosure(terms)
+def test_pi_enclosure_contains_pi():
+    iv = pi_enclosure()
     assert iv.lo <= _reference("mp.pi") <= iv.hi
-
-
-def test_pi_enclosure_shrinks_and_nests():
-    ivs = [pi_enclosure(t) for t in (4, 8, 16)]
-    widths = [iv.hi - iv.lo for iv in ivs]
-    assert widths[0] > widths[1] > widths[2]
-    assert widths[2] < Fraction(1, 10**20)
-    for outer, inner in zip(ivs, ivs[1:]):
-        assert outer.lo <= inner.lo and inner.hi <= outer.hi
+    assert iv.hi - iv.lo < Fraction(1, 10**20)
 
 
 @pytest.mark.parametrize("num", [-1, -4, -9, -16])
 def test_exp_enclosure_brackets(num):
     x = Fraction(num, 32)
-    iv = exp_enclosure(x, 12)
+    iv = exp_enclosure(x)
     assert iv.lo <= _reference(f"mp.exp(mp.mpf({num}) / 32)") <= iv.hi
-    assert iv.hi - iv.lo < Fraction(1, 10**9)
-    tighter = exp_enclosure(x, 24)
-    assert tighter.hi - tighter.lo < iv.hi - iv.lo
-    assert iv.lo <= tighter.lo and tighter.hi <= iv.hi
+    assert iv.hi - iv.lo < Fraction(4, 10**20)
 
 
 @given(st.fractions(min_value=0, max_value=10**6))
 @settings(max_examples=80, deadline=None)
 def test_sqrt_enclosure_brackets(x):
-    iv = sqrt_enclosure(x, 40)
+    iv = sqrt_enclosure(x)
     assert iv.lo * iv.lo <= x <= iv.hi * iv.hi
-    assert iv.hi - iv.lo <= Fraction(1, 2**39)
+    assert iv.hi - iv.lo <= Fraction(1, 2**ROOT_BITS)
 
 
 def test_sqrt_enclosure_exact_squares():
-    iv = sqrt_enclosure(Fraction(9, 16), 20)
-    assert iv.lo <= Fraction(3, 4) <= iv.hi
+    iv = sqrt_enclosure(Fraction(9, 16))
+    # isqrt(144 * 4^ROOT_BITS) is exact: the upper end is one step, 1/(16 * 2^ROOT_BITS), above
+    assert iv == Interval(Fraction(3, 4), Fraction(3, 4) + Fraction(1, 16 << ROOT_BITS))
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        exp_enclosure(Fraction(1, 2), 8)
+        exp_enclosure(Fraction(1, 2))
     with pytest.raises(ValueError):
-        sqrt_enclosure(Fraction(-1), 8)
+        exp_enclosure(-1)
     with pytest.raises(ValueError):
-        pi_enclosure(0)
+        sqrt_enclosure(Fraction(-1))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: exp_enclosure(-0.25, 8), "x must be an int or a Fraction, got -0.25"),
-        (lambda: exp_enclosure(True, 8), "x must be an int or a Fraction, got True"),
-        (lambda: sqrt_enclosure(0.25, 8), "x must be an int or a Fraction, got 0.25"),
-        (lambda: pi_enclosure(2.5), "terms must be an integer >= 1, got 2.5"),
-        (lambda: sqrt_enclosure(Fraction(1, 4), -1), "bits must be an integer >= 0, got -1"),
-        (lambda: exp_enclosure(Fraction(0), -3), "terms must be an integer >= 1, got -3"),
+        (lambda: exp_enclosure(-0.25), "x must be an int or a Fraction, got -0.25"),
+        (lambda: exp_enclosure(True), "x must be an int or a Fraction, got True"),
+        (lambda: sqrt_enclosure(0.25), "x must be an int or a Fraction, got 0.25"),
     ],
-    ids=[
-        "exp-float", "exp-bool", "sqrt-float", "pi-float-terms", "sqrt-negative-bits",
-        "exp-zero-bad-terms",
-    ],
+    ids=["exp-float", "exp-bool", "sqrt-float"],
 )
 def test_enclosures_take_only_rationals_and_integer_counts(call, message):
     with pytest.raises(ValueError) as err:
@@ -120,6 +110,7 @@ def test_enclosures_take_only_rationals_and_integer_counts(call, message):
 
 
 def test_enclosures_take_ints():
-    assert exp_enclosure(0, 3) == Interval.point(1)
-    assert sqrt_enclosure(4, 3) == sqrt_enclosure(Fraction(4), 3)
-    assert sqrt_enclosure(Fraction(1, 4), 0) == Interval(Fraction(1, 2), Fraction(3, 4))
+    assert exp_enclosure(0) == Interval.point(1)
+    assert exp_enclosure(Fraction(0)) == Interval.point(1)
+    assert sqrt_enclosure(4) == sqrt_enclosure(Fraction(4))
+    assert sqrt_enclosure(0) == Interval.point(0)
