@@ -23,7 +23,6 @@ like-minded when c(u) == c(v).
 from .analysis import (
     AlphaValue,
     alpha,
-    alpha_closed_form,
     alpha_sweep,
     optimal_tau,
     optimal_taus,
@@ -89,7 +88,6 @@ __all__ = [
     "WeightedNgraph",
     "all_neighbourhoods",
     "alpha",
-    "alpha_closed_form",
     "alpha_sweep",
     "brute_force_max_cut",
     "build_ngraph",

@@ -206,7 +206,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = analysis.format_bound_report_json(report)
         ok = report.all_pass
     else:
-        ns = [int(x) for x in args.appendix.split(",") if x]
+        try:
+            ns = [int(x) for x in args.appendix.split(",") if x]
+        except ValueError:
+            raise ValueError(f"expected comma-separated integers, got {args.appendix!r}") from None
         report = analysis.verify_appendix_estimates(ns)
         text = json.dumps(analysis.appendix_report_json(report), indent=2) + "\n"
         ok = report.all_hold and report.conclusive

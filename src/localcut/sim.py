@@ -433,7 +433,7 @@ def _c_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarray:
 
 
 def _block_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarray:
-    """`_c_philox_bytes`'s rows, from ten in-place rounds over the block's counters."""
+    """`_c_philox_bytes`'s rows, from the ten rounds run on all the block's counters at once."""
     counters = -(-words // 8)
     shape = (2, trials, counters)
     # state words 0, 2 are multiplied; words 1, 3 are xored into them
@@ -450,33 +450,24 @@ def _block_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarr
     w = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
     low, s = np.uint64(0xFFFFFFFF), np.uint64(32)
     m0, m1 = m & low, m >> s
-    # every round runs in place on four scratch arrays: fresh arrays per
-    # ufunc would fault in new pages each round
-    a, b, c, tmp = (np.empty(shape, np.uint64) for _ in range(4))
     for _ in range(10):
-        # b <- high 64 bits of mul * m, from the 32-bit limbs a (low), b (high)
-        np.bitwise_and(mul, low, out=a)
-        np.right_shift(mul, s, out=b)
-        np.multiply(a, m0, out=c)
-        c >>= s
-        np.multiply(b, m0, out=tmp)
-        c += tmp  # t = (a * m0 >> 32) + b * m0
-        np.bitwise_and(c, low, out=tmp)
+        a, b = mul & low, mul >> s  # 32-bit limbs of mul
+        t = a * m0
+        t >>= s
+        t += b * m0
         a *= m1
-        a += tmp  # (t & low) + a * m1
+        a += t & low
         a >>= s
-        c >>= s
+        t >>= s
         b *= m1
-        b += c
-        b += a
+        b += t
+        b += a  # b = high 64 bits of mul * m
         # next words 0, 2: the crossed high halves ^ words 1, 3 ^ key;
         # next words 1, 3: the crossed low halves
         xor ^= key
         xor ^= b[::-1]
-        np.multiply(mul[::-1], m[::-1], out=a)
-        mul, xor, a = xor, a, mul
+        mul, xor = xor, mul[::-1] * m[::-1]
         key += w
-    del a, b, c, tmp  # freed before the output is built, to lower the peak
     state = np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1).astype("<u8", copy=False)
     return state.view(np.uint8).reshape(trials, -1)
 

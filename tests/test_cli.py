@@ -248,6 +248,20 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "--dmax" in err
 
 
+@pytest.mark.parametrize("text", ["1500,abc", "1e4", "1500;2000", "x"])
+def test_a_malformed_appendix_list_names_the_expected_form(capsys, text):
+    assert run(capsys, "verify", "--appendix", text) == (
+        2,
+        "",
+        f"error: expected comma-separated integers, got {text!r}\n",
+    )
+
+
+@pytest.mark.parametrize("text", ["", ","])
+def test_an_empty_appendix_list_still_needs_an_n(capsys, text):
+    assert run(capsys, "verify", "--appendix", text) == (2, "", "error: need at least one n\n")
+
+
 def test_verify_has_no_precision_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--appendix", "1500", "--precision-cap", "64"])

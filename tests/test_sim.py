@@ -694,19 +694,32 @@ def c_route_calls(monkeypatch) -> list:
     return calls
 
 
+# The widest blocks of the benchmark's montecarlo workload, each just under
+# BLOCK_SLOTS bits: a one-draw rule on 6 nodes, the Shearer rule on 10 and
+# the virtual rule on 30 nodes with 50 virtual bits.
+WIDE_BLOCKS = [(10000, (6,)), (2184, (10, 10, 10)), (819, (30, 50))]
+
+KERNEL_BLOCKS = [
+    (sim.FEW_TRIALS, sizes)
+    for sizes in [(n,) for n in (1, 3, 4, 5, 10, 31, 200, 257)]
+    + [(10, 10, 10), (4, 6), (5, 0, 7), (1, 257, 3, 31)] + ROUTE_SIZES
+] + WIDE_BLOCKS
+
+
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
-@pytest.mark.parametrize("sizes", [(n,) for n in (1, 3, 4, 5, 10, 31, 200, 257)] + [
-    (10, 10, 10), (4, 6), (5, 0, 7), (1, 257, 3, 31)
-] + ROUTE_SIZES)
-def test_block_kernel_matches_chained_draws(seed, sizes, monkeypatch):
+@pytest.mark.parametrize(
+    "trials, sizes", KERNEL_BLOCKS, ids=[f"sizes{i}" for i in range(len(KERNEL_BLOCKS))]
+)
+def test_block_kernel_matches_chained_draws(seed, trials, sizes, monkeypatch):
     assert sim.BLOCK_SLOTS // sim.FEW_TRIALS == 4096
     routed = c_route_calls(monkeypatch)
-    t0, trials = 5, sim.FEW_TRIALS
+    t0 = 5
     block = sim.philox_bits(seed, t0, trials, sizes)
     assert bool(routed) == (trials * sum(sizes) > sim.BLOCK_SLOTS)
     assert [a.shape for a in block] == [(n, trials) for n in sizes]
-    for i in range(trials):
-        rng = make_trial_rng(seed, t0 + i)
+    # every trial of a FEW_TRIALS block; 17 of a wide one: first, middle and last among them
+    for i in np.unique(np.linspace(0, trials - 1, sim.FEW_TRIALS + 1, dtype=int)):
+        rng = make_trial_rng(seed, t0 + int(i))
         for a, n in zip(block, sizes):
             assert np.array_equal(a[:, i], draw_bits(rng, n))
 
