@@ -492,7 +492,7 @@ def write_tau_opt_csv(fh: IO[str], d_values: Iterable[int]) -> list[tuple[int, l
     return ties
 
 
-def format_bound_report_json(report: BoundReport) -> str:
+def bound_report_json(report: BoundReport) -> str:
     """The `verify --bound` report as `json.dumps(doc, indent=2)` plus a newline.
 
     The indented text is assembled directly, one f-string per check, instead
@@ -519,13 +519,9 @@ def format_bound_report_json(report: BoundReport) -> str:
     )
 
 
-def bound_report_json(report: BoundReport) -> dict:
-    """The `verify --bound` report as a dict: its JSON text, parsed."""
-    return json.loads(format_bound_report_json(report))
-
-
-def appendix_report_json(report: AppendixEstimateReport) -> dict:
-    return {
+def appendix_report_json(report: AppendixEstimateReport) -> str:
+    """The `verify --appendix` report as `json.dumps(doc, indent=2)` plus a newline."""
+    doc = {
         "all_hold": report.all_hold,
         "conclusive": report.conclusive,
         "checks": [
@@ -543,3 +539,4 @@ def appendix_report_json(report: AppendixEstimateReport) -> dict:
             for c in report.checks
         ],
     }
+    return json.dumps(doc, indent=2) + "\n"

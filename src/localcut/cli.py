@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -203,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # an existing file as it was
     if args.bound:
         report = analysis.verify_theorem_bound(DEFAULT_DMAX if args.dmax is None else args.dmax)
-        text = analysis.format_bound_report_json(report)
+        text = analysis.bound_report_json(report)
         ok = report.all_pass
     else:
         try:
@@ -211,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"expected comma-separated integers, got {args.appendix!r}") from None
         report = analysis.verify_appendix_estimates(ns)
-        text = json.dumps(analysis.appendix_report_json(report), indent=2) + "\n"
+        text = analysis.appendix_report_json(report)
         ok = report.all_hold and report.conclusive
     with _output(args.out) as fh:
         fh.write(text)
@@ -241,6 +242,8 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # checked before the graph is built, so a bad count is a usage error
+    ngraph.check_integer(args.trials, 1, math.inf, "trials must be >= 1")
     reads_tau, spec = ALGORITHMS[args.alg]
     if args.tau is not None and not reads_tau:
         raise ValueError(f"--tau does not apply to --alg {args.alg}")

@@ -2,7 +2,9 @@
 
 `perfbench/run.py --trace 1` wraps every `(module, attribute)` listed in
 `SPANS`, and the getter of the `RegularGraph.edges` property. A rename in the
-package would otherwise only show up when a traced benchmark run fails.
+package would otherwise only show up when a traced benchmark run fails, and
+a command that stops calling a wrapped function would be timed under the
+wrong span without any failure.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from localcut import sim
+import pytest
+
+from localcut import analysis, sim
+from localcut.cli import main
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -33,3 +38,19 @@ def test_every_span_target_is_a_package_function():
 
 def test_regular_graph_edges_is_a_property():
     assert isinstance(vars(sim.RegularGraph)["edges"], property)
+
+
+@pytest.mark.parametrize(
+    "writer, argv",
+    [
+        ("bound_report_json", ["verify", "--bound", "--dmax", "3"]),
+        ("appendix_report_json", ["verify", "--appendix", "1500"]),
+    ],
+)
+def test_verify_writes_through_the_timed_emitter(monkeypatch, capsys, writer, argv):
+    # `verify` prints what the emitter returns, so its writing time is
+    # counted under the span that wraps that emitter
+    assert ("analysis", writer) in _load_spans().SPANS["analysis.emit"]
+    monkeypatch.setattr(analysis, writer, lambda report: f"sentinel {writer}\n")
+    main(argv)
+    assert capsys.readouterr().out == f"sentinel {writer}\n"

@@ -438,6 +438,11 @@ def test_simulate_usage_errors(capsys):
     assert code == 2 and "bipartite" in err
     argv = ("simulate", "--family", "petersen", "--alg", "uniform", "--trials", "0")
     assert run(capsys, *argv) == (2, "", "error: trials must be >= 1, got 0\n")
+    # checked before the graph is built: no optimal-tau line on stderr, and no
+    # rejection budget spent on a triangle-free graph that cannot be built
+    for graph in (("petersen",), ("triangle-free", "--n", "1000", "--d", "4")):
+        argv = ("simulate", "--family", *graph, "--alg", "threshold", "--trials", "0")
+        assert run(capsys, *argv) == (2, "", "error: trials must be >= 1, got 0\n")
     # threshold needs a strict graph; a missing file is a usage error too
     code, _, err = run(
         capsys, "simulate", "--family", "file", "--in", "/nonexistent",
