@@ -219,11 +219,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
+def _build_graph(args: argparse.Namespace, tau: Optional[int]) -> tuple[sim.RegularGraph, int]:
     """The graph `--family` names, and the run's seed.
 
-    `--n`, `--d` or `--in` given to a family that does not read it, or left
-    out by one that does, is a usage error.
+    `--n`, `--d` or `--in` given to a family that does not read it, left out
+    by one that does, or a `tau` outside [0, `--d` + 1] is a usage error.
     """
     family = args.family
     reads, _, build = FAMILIES[family]
@@ -234,6 +234,8 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
     missing = [flag for flag in reads if flag not in given]
     if missing:
         raise ValueError(f"family {family} needs {' and '.join(missing)}")
+    if tau is not None and "--d" in reads and args.d >= 1:
+        ngraph.check_tau(tau, args.d)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.entropy:  # 8 bytes: the whole 0..2^64-1 range, without loading OpenSSL
         seed = int.from_bytes(os.urandom(8), "little")
@@ -242,12 +244,12 @@ def _build_graph(args: argparse.Namespace) -> tuple[sim.RegularGraph, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # checked before the graph is built, so a bad count is a usage error
+    # checked before the graph is built, so a bad count or tau is a usage error
     ngraph.check_integer(args.trials, 1, math.inf, "trials must be >= 1")
     reads_tau, spec = ALGORITHMS[args.alg]
     if args.tau is not None and not reads_tau:
         raise ValueError(f"--tau does not apply to --alg {args.alg}")
-    g, seed = _build_graph(args)
+    g, seed = _build_graph(args, args.tau)
     tau = args.tau
     if reads_tau and tau is None:
         tau = analysis.optimal_tau(g.degree)[0]
@@ -264,7 +266,7 @@ def cmd_gen_graph(args: argparse.Namespace) -> int:
     if not FAMILIES[args.family][1] and (args.seed is not None or args.entropy):
         option = "--entropy" if args.entropy else "--seed"
         raise ValueError(f"{option} does not apply to --family {args.family}")
-    g, _ = _build_graph(args)
+    g, _ = _build_graph(args, None)
     with _output(args.out) as fh:
         sim.write_edge_list(fh, g)
     return 0
@@ -306,9 +308,7 @@ def _make_parser() -> argparse.ArgumentParser:
             help="draw the seed from OS entropy and print it to stderr",
         )
 
-    p = sub.add_parser(
-        "build-ngraph", help="emit the weighted neighbourhood graph for degree d"
-    )
+    p = sub.add_parser("build-ngraph", help="emit the weighted neighbourhood graph for degree d")
     p.add_argument("--d", type=int, required=True, help="degree, at least 2")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     add_out(p)
@@ -347,9 +347,7 @@ def _make_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser(
-        "verify", help="check the proven lower-bound inequalities, JSON report"
-    )
+    p = sub.add_parser("verify", help="check the proven lower-bound inequalities, JSON report")
     p.add_argument(
         "--bound",
         action="store_true",
@@ -365,9 +363,7 @@ def _make_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
-        "simulate", help="Monte Carlo run of a one-round algorithm on a graph"
-    )
+    p = sub.add_parser("simulate", help="Monte Carlo run of a one-round algorithm on a graph")
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
     p.add_argument("--n", type=int, help="size parameter where the family needs it")
@@ -383,9 +379,7 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     add_seed(p)
-    p.add_argument(
-        "--per-edge", action="store_true", help="include per-edge cut counts"
-    )
+    p.add_argument("--per-edge", action="store_true", help="include per-edge cut counts")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     add_out(p)
     p.set_defaults(func=cmd_simulate)

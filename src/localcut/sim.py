@@ -1,19 +1,15 @@
 """Distributed one-round cut algorithms on explicit graphs.
 
-Triangle-free regular graph generators, the node rules (uniform; Shearer's,
-which follows c1 below d/2 agreement and c2 above it, c3 breaking ties;
-threshold), the virtual-neighbour wrapper for irregular graphs, and Monte
-Carlo measurement of cut weights and per-edge statistics.
+Triangle-free regular graph generators, the node rules (uniform, Shearer's
+three-cut rule, threshold), the virtual-neighbour wrapper for irregular
+graphs, and Monte Carlo measurement of cut weights and per-edge statistics.
 
 Randomness contract: trial t of master seed s draws from Philox4x64-10 keyed
 by (s mod 2^64, t), so trials are reproducible and independent, and runs of
 different algorithms at the same (seed, trial) share the base cut c1. Within
-a trial, bits are drawn in node-index order, one array per cut. Monte Carlo
-runs draw blocks of trials (`philox_bits`), 16 or more in every block but
-the last: a block of at most 2^16 bits through Philox rounds written in
-numpy, a larger one through numpy's C Philox, one trial at a time.
-Like-mindedness is the equality convention: a neighbour u of v counts
-towards l(v) when c1(u) == c1(v).
+a trial, bits are drawn in node-index order, one array per cut; Monte Carlo
+runs draw blocks of trials (`philox_bits`). Like-mindedness is the
+equality convention: a neighbour u of v counts towards l(v) when c1(u) == c1(v).
 """
 
 from __future__ import annotations
@@ -93,8 +89,8 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     out-of-range endpoints, then the first self-loop or repeated edge in
     input order (one sort of the m keys min(u, v) * n + max(u, v) finds
     both, before anything is built), then nodes above the degree bound.
-    Sorted half-edges fill `nbr`; comparing the rows nbr[u] and nbr[v]
-    flags (u, v) in a triangle (`_triangle_flags`).
+    Sorted half-edges become `nbr` in place, `edges` only read; comparing
+    the rows nbr[u] and nbr[v] flags (u, v) in a triangle (`_triangle_flags`).
     """
     node_count = check_integer(node_count, 1, math.inf, "node_count must be an integer >= 1")
     degree = check_integer(degree, 1, math.inf, "degree must be an integer >= 1")
@@ -103,8 +99,7 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
         raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.dtype} values")
     if e.size and not isinstance(edges, np.ndarray):
         # a list that mixes bools with ints converts to an integer dtype
-        kinds = {type(x) for x in np.asarray(edges, dtype=object).flat}
-        if any(issubclass(t, (bool, np.bool_)) for t in kinds):
+        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(edges, dtype=object).flat):
             raise TypeError("edge endpoints must be integers that fit in int64, got bool values")
     e = e.astype(np.intp, copy=False).reshape(-1, 2)
     g = _simple_graph(node_count, degree, e)
@@ -114,41 +109,51 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     return g
 
 
-def _simple_graph(node_count: int, degree: int, e: np.ndarray) -> Optional[RegularGraph]:
-    """`from_edges` of an (m, 2) int array, but None for a loop or repeat, unnamed."""
-    outside = (e < 0) | (e >= node_count)
+def _simple_graph(n: int, d: int, e: np.ndarray) -> Optional[RegularGraph]:
+    """`from_edges` of an (m, 2) int array, but None for a loop or repeat, unnamed.
+
+    Past that, one buffer holds the 2m half-edge keys tail * n + head, sorted
+    and split in place; its heads are `nbr` on full rows, else fill -1 padding.
+    """
+    outside = (e < 0) | (e >= n)
     if outside.any():
         u, v = e[outside.any(axis=1)][0]
-        raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
+        raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-    keys = lo * node_count + hi
-    ordered = np.sort(keys)
+    ordered = np.sort(lo * n + hi)
     if (ordered[1:] == ordered[:-1]).any() or (lo == hi).any():
         return None
-    keys = np.concatenate([keys, hi * node_count + lo])  # the half-edges (tail, head)
-    keys.sort()
-    tail, head = np.divmod(keys, node_count)
-    deg = np.bincount(tail, minlength=node_count)
-    if deg.max() > degree:
-        u = (deg > degree).argmax()
-        raise ValueError(f"node {u} has degree {deg[u]}, above the declared bound {degree}")
-    nbr = np.full((node_count, degree), -1, dtype=np.intp)
-    nbr[tail, np.arange(len(tail)) - (np.cumsum(deg) - deg)[tail]] = head
-    edge = tail < head  # each edge (u, v), u < v, once, in lexicographic order
-    return RegularGraph(node_count, degree, nbr, _triangle_flags(nbr, tail[edge], head[edge]))
+    del outside, lo, hi, ordered
+    half = (e * n + e[:, ::-1]).ravel("K")  # keys of (u, v), (v, u)
+    half.sort()
+    tail = np.divmod(half, n, out=(None, half))[0]
+    deg = np.bincount(tail, minlength=n)
+    if deg.max() > d:
+        u = (deg > d).argmax()
+        raise ValueError(f"node {u} has degree {deg[u]}, above the declared bound {d}")
+    if len(half) == n * d:
+        nbr = half.reshape(n, d)
+    else:
+        nbr = np.full((n, d), -1, dtype=np.intp)
+        nbr[tail, np.arange(len(half)) - (np.cumsum(deg) - deg)[tail]] = half
+    del deg
+    edge = tail < half  # each edge (u, v), u < v, once, in lexicographic order
+    u = tail[edge]
+    del tail
+    return RegularGraph(n, d, nbr, _triangle_flags(nbr, u, half[edge]))
 
 
-def _first_repeat(e: np.ndarray, node_count: int) -> int:
+def _first_repeat(e: np.ndarray, n: int) -> int:
     """Index of the first edge of e that is a self-loop or repeats an earlier one."""
     lo, hi = e.min(axis=1), e.max(axis=1)
     bad = np.ones(len(e), dtype=bool)  # all but each key's first occurrence
-    bad[np.unique(lo * node_count + hi, return_index=True)[1]] = False
+    bad[np.unique(lo * n + hi, return_index=True)[1]] = False
     return int((bad | (lo == hi)).argmax())
 
 
 # Edges per chunk of the triangle search: max(1, TRIANGLE_BUDGET // d), so
 # the chunk's gathered (edges, d) rows have a fixed number of elements.
-TRIANGLE_BUDGET = 1 << 16
+TRIANGLE_BUDGET = 1 << 14
 
 
 def _triangle_flags(nbr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -203,9 +208,9 @@ def _first_strict(draw: Callable[[], np.ndarray], n: int, d: int, params: str) -
 
     A self-loop or repeated edge (left unnamed) or a `ValueError` rejects a
     draw, as a triangle does; one sort of the draw's edge keys finds those
-    before anything is built. The INFO record's first
-    argument is the attempt count; `params` names the generator's inputs
-    there and on exhaustion.
+    before anything is built, so only a simple draw fills a half-edge buffer.
+    The INFO record's first argument is the attempt count; `params` names
+    the generator's inputs there and on exhaustion.
     """
     for attempt in range(1, REJECTION_BUDGET + 1):
         try:
@@ -239,8 +244,7 @@ def random_bipartite_regular(n_per_side: int, d: int, seed: int) -> RegularGraph
         right = np.concatenate([rng.permutation(n_per_side) for _ in range(d)]) + n_per_side
         return np.stack([left, right], axis=1)
 
-    params = f"bipartite, n_per_side={n_per_side}, d={d}"
-    return _first_strict(draw, 2 * n_per_side, d, params)
+    return _first_strict(draw, 2 * n_per_side, d, f"bipartite, n_per_side={n_per_side}, d={d}")
 
 
 def random_triangle_free(n: int, d: int, seed: int) -> RegularGraph:
@@ -322,7 +326,8 @@ def read_edge_list(fh: TextIO) -> RegularGraph:
         raise ValueError(f"header declares {m} edges, found {found}")
     if bad is not None:
         raise ValueError(bad)
-    return from_edges(n, d, np.concatenate(parts).reshape(-1, 2))
+    parts = np.concatenate(parts).reshape(-1, 2)  # drops the chunks
+    return from_edges(n, d, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,32 @@ def test_simulate_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_simulate_checks_tau_against_d_before_the_build(capsys):
+    # no rejection budget spent on a triangle-free graph that cannot be built
+    argv = ("simulate", "--family", "triangle-free", "--n", "1000", "--d", "4",
+            "--alg", "threshold", "--tau", "99", "--trials", "10")
+    assert run(capsys, *argv) == (2, "", "error: tau must be in [0, 5], got 99\n")
+
+
+# each family whose degree is --d: the other options it needs, and its own
+# message for --d 0, which comes before any tau check
+D_FAMILIES = {
+    "kdd": ((), "d must be an integer >= 1"),
+    "hypercube": ((), "dimension must be an integer >= 1"),
+    "bipartite": (("--n", "10"), "d must be an integer >= 1"),
+    "triangle-free": (("--n", "10"), "d must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("family", D_FAMILIES)
+@pytest.mark.parametrize("alg", ["threshold", "virtual"])
+def test_simulate_tau_out_of_range_for_the_degree_d(capsys, family, alg):
+    extra, message = D_FAMILIES[family]
+    for d, err in (("3", "tau must be in [0, 4], got 5"), ("0", f"{message}, got 0")):
+        argv = ("simulate", "--family", family, *extra, "--d", d, "--alg", alg, "--tau", "5")
+        assert run(capsys, *argv, "--trials", "10") == (2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("alg", ["uniform", "shearer"])
 def test_simulate_tau_for_a_rule_without_one_is_a_usage_error(capsys, alg):
     code, out, err = run(

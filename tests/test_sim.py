@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -260,6 +261,75 @@ def test_from_edges_raises_exactly_when_the_set_oracle_does(case):
     g = from_edges(n, d, edges)
     assert [row[row >= 0].tolist() for row in g.nbr] == nbrs
     assert [tuple(e) for e in g.edges[g.triangle].tolist()] == triangles
+
+
+# Full rows reshape the sorted half-edge buffer into nbr; the irregular graph
+# takes the padded scatter.
+IN_PLACE_BUILDS = {
+    "cycle": lambda: cycle_graph(9),
+    "kdd": lambda: complete_bipartite(4),
+    "hypercube": lambda: hypercube_graph(4),
+    "petersen": petersen_graph,
+    "triangle-free": lambda: random_triangle_free(40, 3, 7),
+    "padded": lambda: from_edges(8, 3, [(5, 4), (0, 1), (4, 0), (1, 2), (2, 0), (6, 1), (3, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", IN_PLACE_BUILDS)
+def test_in_place_builds_match_the_set_oracle(monkeypatch, name):
+    builds = []
+    build = sim._simple_graph
+
+    def spy(n, d, e):
+        before = e.tobytes()
+        g = build(n, d, e)
+        assert e.tobytes() == before  # the edges handed in are only read
+        builds.append((n, d, e.tolist(), g))
+        return g
+
+    monkeypatch.setattr(sim, "_simple_graph", spy)
+    g = IN_PLACE_BUILDS[name]()
+    n, d, edges, built = builds[-1]  # the triangle-free generator's accepted draw
+    assert built is g
+    nbrs, triangles = set_graph(n, d, edges)
+    assert [row[row >= 0].tolist() for row in g.nbr] == nbrs
+    assert [tuple(e) for e in g.edges[g.triangle].tolist()] == triangles
+    assert g.is_regular == (name != "padded")
+    assert not g.nbr.flags.writeable and not g.triangle.flags.writeable
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [2, 3], ids=["full rows", "padded"])
+def test_from_edges_only_reads_the_callers_array(d, order):
+    i = np.arange(12)
+    edges = np.array(np.stack([(i + 1) % 12, i], axis=1), order=order)
+    before = edges.tobytes(order="A")
+    g = from_edges(12, d, edges)
+    assert edges.tobytes(order="A") == before and edges.flags.writeable
+    assert g.is_regular == (d == 2) and g.edge_count == 12
+    assert not g.nbr.flags.writeable
+
+
+# Traced peak of one from_edges call, in bytes an edge, on a 2*10^5-edge
+# cycle (full rows) and on the path left by dropping one of its edges (padded
+# rows). The build reads about 42 and 96: one half-edge buffer split in place,
+# each array dropped once dead, and on the path the padded scatter's index
+# arrays. A build that keeps every transient alive to its end reads 138.
+PEAK_BYTES_PER_EDGE = {"cycle": 56, "path": 125}
+
+
+@pytest.mark.parametrize("shape", PEAK_BYTES_PER_EDGE)
+def test_from_edges_peak_memory_per_edge(shape):
+    i = np.arange(200_000)
+    edges = np.stack([i, (i + 1) % len(i)], axis=1)[: len(i) - (shape == "path")]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        from_edges(len(i), 2, edges)
+        peak = (tracemalloc.get_traced_memory()[1] - start) / len(edges)
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES_PER_EDGE[shape], f"{peak:.1f} bytes an edge"
 
 
 def test_triangle_flags():
