@@ -59,7 +59,6 @@ from .sim import (
     VirtualNeighbourCut,
     complete_bipartite,
     cycle_graph,
-    empirical_joint_distribution,
     from_edges,
     hypercube_graph,
     monte_carlo,
@@ -67,7 +66,6 @@ from .sim import (
     random_bipartite_regular,
     random_triangle_free,
     read_edge_list,
-    run_trial,
     write_edge_list,
 )
 
@@ -93,7 +91,6 @@ __all__ = [
     "build_ngraph",
     "complete_bipartite",
     "cycle_graph",
-    "empirical_joint_distribution",
     "evaluate_cut",
     "export_wcnf",
     "format_ngraph_table",
@@ -108,7 +105,6 @@ __all__ = [
     "random_bipartite_regular",
     "random_triangle_free",
     "read_edge_list",
-    "run_trial",
     "shearer_bound",
     "tau_formula",
     "threshold_assignment",

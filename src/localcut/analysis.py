@@ -150,26 +150,14 @@ def tau_formula(d: int) -> int:
 
 
 class SqrtBound(NamedTuple):
-    """The irrational bound 1/2 + sqrt(coeff_sq / d), compared exactly.
+    """The irrational bound 1/2 + sqrt(coeff_sq / d), held by its exact square.
 
-    Comparisons square out the root: for a rational r >= 1/2,
-    r >= bound iff (r - 1/2)^2 * d >= coeff_sq.  No floating point decides
-    anything; `to_float` exists only for reporting.
+    `_bound_decision` decides a gain against the threshold bound exactly, by
+    integers; `to_float` only reports the bound.
     """
 
     coeff_sq: Fraction
     degree: int
-
-    def compare(self, r: Fraction) -> int:
-        """Sign of r - bound: -1 below, 0 equal, +1 above."""
-        if r < HALF:
-            return -1
-        gap = (r - HALF) ** 2 * self.degree
-        if gap > self.coeff_sq:
-            return 1
-        if gap == self.coeff_sq:
-            return 0
-        return -1
 
     def to_float(self) -> float:
         return _root_bound_float(float(self.coeff_sq), self.degree)

@@ -19,18 +19,16 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union,
 )
 
 import numpy as np
 
-from .ngraph import SIDES, Neighbourhood, all_neighbourhoods, check_integer, check_tau
+from .ngraph import check_integer, check_tau
 
 logger = logging.getLogger(__name__)
-
-NodeLabels = Dict[int, str]
 
 UINT64_MASK = (1 << 64) - 1
 
@@ -85,7 +83,8 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     """Build and validate a graph from (u, v) pairs or an (m, 2) array.
 
     Raises `TypeError` for an endpoint that is not an integer (a float, bool,
-    string or other object), which a cast would truncate or coerce. Rejects
+    string or other object), which a cast would truncate or coerce, and for
+    a uint64 endpoint above int64's range, which it would wrap. Rejects
     out-of-range endpoints, then the first self-loop or repeated edge in
     input order (one sort of the m keys min(u, v) * n + max(u, v) finds
     both, before anything is built), then nodes above the degree bound.
@@ -97,6 +96,8 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     e = np.asarray(edges)
     if e.size and e.dtype.kind not in "iu":
         raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.dtype} values")
+    if e.size and e.dtype.kind == "u" and e.max() > np.iinfo(np.int64).max:
+        raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.max()}")
     if e.size and not isinstance(edges, np.ndarray):
         # a list that mixes bools with ints converts to an integer dtype
         if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(edges, dtype=object).flat):
@@ -477,10 +478,6 @@ def _block_philox_bytes(seed: int, t0: int, trials: int, words: int) -> np.ndarr
     return state.view(np.uint8).reshape(trials, -1)
 
 
-def labels_from_bits(bits: np.ndarray) -> NodeLabels:
-    return {v: SIDES[int(b)] for v, b in enumerate(bits)}
-
-
 def _require_strict(g: RegularGraph, rule: str) -> None:
     if not g.is_regular:
         raise ValueError(
@@ -501,21 +498,6 @@ def _padded_matrix(g: RegularGraph) -> Tuple[np.ndarray, int]:
     slots = padded < 0
     padded[slots] = np.arange(g.node_count, g.node_count + np.count_nonzero(slots))
     return padded, int(np.count_nonzero(slots))
-
-
-def run_trial(g: RegularGraph, alg: AlgorithmSpec, seed: int) -> NodeLabels:
-    """One trial, trial index 0 of the seed's stream, as node labels.
-
-    The one-trial sibling of `monte_carlo(g, alg, trials, seed)`, drawing
-    what its trial 0 draws. `ShearerCut` draws c1, c2, c3 in that order.
-    `VirtualNeighbourCut` gives each node of degree d' <= d its own bit plus
-    d - d' virtual-neighbour bits and counts agreement over real and virtual
-    neighbours together: own bits come first (node order), then the virtual
-    bits (node order).
-    """
-    seed = check_integer(seed, -math.inf, math.inf, "seed must be an integer")
-    sizes, rule = _block_rule(g, alg)
-    return labels_from_bits(rule(*philox_bits(seed, 0, 1, sizes))[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +551,13 @@ class TrialStats(NamedTuple):
 
 
 def _block_rule(g: RegularGraph, alg: AlgorithmSpec):
-    """Bits drawn per trial, and the rule from a block's draws to outputs."""
+    """Bits drawn per trial, and the rule from a block's draws to outputs.
+
+    `ShearerCut` draws c1, c2, c3 in that order. `VirtualNeighbourCut` gives
+    each node of degree d' <= d its own bit plus d - d' virtual-neighbour bits
+    and counts agreement over real and virtual neighbours together: own bits
+    come first (node order), then the virtual bits (node order).
+    """
     n = g.node_count
     if isinstance(alg, UniformCut):
         return (n,), lambda c1: c1
@@ -644,33 +632,6 @@ def monte_carlo(
         split[2] = float(g.triangle.sum() / m)
     counts = dict(zip(zip(u.tolist(), v.tolist()), edge_cut_counts.tolist())) if per_edge else None
     return TrialStats(trials, mean, stderr, seed, m, counts, *split)
-
-
-def empirical_joint_distribution(
-    g: RegularGraph, edge: Tuple[int, int], trials: int, seed: int
-) -> Dict[Tuple[Neighbourhood, Neighbourhood], int]:
-    """Counts of the (view of u, view of v) cells under uniform random cuts.
-
-    Views are taken with respect to the base cut alone (no rule applied):
-    side from the node's own bit, like count over its neighbours. Every
-    ordered cell is present, impossible ones with count 0; each cell's count
-    is binomial with the corresponding neighbourhood-graph weight as success
-    probability.
-    """
-    _require_strict(g, "empirical_joint_distribution")
-    trials = check_integer(trials, 1, math.inf, "trials must be >= 1")
-    seed = check_integer(seed, -math.inf, math.inf, "seed must be an integer")
-    u, v = (check_integer(x, -math.inf, math.inf, "edge endpoints must be integers") for x in edge)
-    if not (0 <= u < g.node_count) or v not in g.nbr[u]:
-        raise ValueError(f"edge ({u}, {v}) is not in the graph")
-    d = g.degree
-    views = all_neighbourhoods(d)  # view (side bit s, like l) sits at s * (d + 1) + l
-    k = len(views)
-    tally = np.zeros(k * k, dtype=np.int64)
-    for (c1,) in _blocks(seed, trials, (g.node_count,)):
-        view = c1.astype(np.intp) * (d + 1) + like_counts(g.nbr, c1)
-        tally += np.bincount(view[u] * k + view[v], minlength=k * k)
-    return {(n1, n2): int(c) for (n1, n2), c in zip(product(views, views), tally)}
 
 
 # ---------------------------------------------------------------------------

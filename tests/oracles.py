@@ -13,6 +13,11 @@ MaxSAT oracle scores every assignment of a WCNF document's variables.  The
 table parser reads `build-ngraph`'s text back, and `cut_fraction` scores a
 labelled graph edge by edge, apart from the Monte Carlo runner's XOR tally,
 and `edge_list_by_lines` reads an edge list line by line through `int()`.
+`run_trial` reaches a rule's trial 0 through numpy's Generator rather than
+the Monte Carlo block kernel, `sampled_joint_views` tallies the endpoint
+views of one edge under uniform random cuts, and `sqrt_bound_sign` compares
+a rational with a `SqrtBound` by squaring out the root.  None of the three
+validates its arguments: only tests call them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ from itertools import product
 
 import numpy as np
 
+from localcut import sim
 from localcut.analysis import tau_formula
-from localcut.ngraph import Neighbourhood, WeightedNgraph, build_ngraph, check_degree
+from localcut.ngraph import (
+    Neighbourhood, WeightedNgraph, all_neighbourhoods, build_ngraph, check_degree,
+)
 
 _SIDE = ("a", "b")
 
@@ -149,6 +157,49 @@ def cut_fraction(g, labels: dict) -> Fraction:
     """Fraction of the edges of a `sim.RegularGraph` whose endpoints got different labels."""
     cut = sum(labels[u] != labels[v] for u, v in g.edges.tolist())
     return Fraction(cut, g.edge_count)
+
+
+def run_trial(g, alg, seed: int) -> dict:
+    """Trial 0 of `sim.monte_carlo(g, alg, trials, seed)`, as node labels "a" and "b".
+
+    The rule is the runner's own (`sim._block_rule`); its bits come from
+    `make_trial_rng(seed, 0)` and `draw_bits`, one draw per size in order.
+    """
+    sizes, rule = sim._block_rule(g, alg)
+    rng = sim.make_trial_rng(seed, 0)
+    out = rule(*(sim.draw_bits(rng, n) for n in sizes))
+    return {v: _SIDE[b] for v, b in enumerate(out.tolist())}
+
+
+def sampled_joint_views(g, edge, trials: int, seed: int) -> dict:
+    """Counts of the (view of u, view of v) cells of an edge under uniform random cuts.
+
+    Views are taken with respect to the base cut alone (no rule applied):
+    side from the node's own bit, like count over its neighbours. Every
+    ordered cell is present, impossible ones with count 0; each cell's count
+    is binomial with the corresponding neighbourhood-graph weight as success
+    probability.
+    """
+    u, v = edge
+    d = g.degree
+    views = all_neighbourhoods(d)  # view (side bit s, like l) sits at s * (d + 1) + l
+    k = len(views)
+    tally = np.zeros(k * k, dtype=np.int64)
+    for (c1,) in sim._blocks(seed, trials, (g.node_count,)):
+        view = c1.astype(np.intp) * (d + 1) + sim.like_counts(g.nbr, c1)
+        tally += np.bincount(view[u] * k + view[v], minlength=k * k)
+    return {cell: int(c) for cell, c in zip(product(views, views), tally)}
+
+
+def sqrt_bound_sign(bound, r: Fraction) -> int:
+    """Sign of r - bound for an `analysis.SqrtBound`: -1 below, 0 equal, +1 above.
+
+    For r >= 1/2, r >= bound iff (r - 1/2)^2 * d >= coeff_sq.
+    """
+    if r < Fraction(1, 2):
+        return -1
+    gap = (r - Fraction(1, 2)) ** 2 * bound.degree
+    return (gap > bound.coeff_sq) - (gap < bound.coeff_sq)
 
 
 def expected_cut_weight_exhaustive(adjacency, rule) -> Fraction:

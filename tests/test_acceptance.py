@@ -32,13 +32,12 @@ from localcut.sim import (
     ThresholdCut,
     VirtualNeighbourCut,
     complete_bipartite,
-    empirical_joint_distribution,
     from_edges,
     monte_carlo,
     petersen_graph,
     random_bipartite_regular,
 )
-from oracles import exhaustive_max_weight, threshold_cut_probability
+from oracles import exhaustive_max_weight, sampled_joint_views, threshold_cut_probability
 
 TABLE_1 = [
     2, 3, 3, 4, 5, 5, 6, 6, 7, 7, 8, 9, 9, 10, 10, 11,
@@ -130,7 +129,7 @@ def test_criterion_6_simulation_matches_the_exact_weight():
             f"{name}: {st.mean} vs {expected} (se {st.stderr})"
         )
     weights = build_ngraph(3)
-    counts = empirical_joint_distribution(graphs["K33"], (0, 3), TRIALS, SEED)
+    counts = sampled_joint_views(graphs["K33"], (0, 3), TRIALS, SEED)
     assert len(counts) == 64
     for cell, count in counts.items():
         p = float(weights.weight(*cell))

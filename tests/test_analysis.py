@@ -189,10 +189,10 @@ def test_formula_never_beats_optimum():
 
 def test_bound_compare_signs():
     b = threshold_bound(4)
-    assert b.compare(Fraction(41, 64)) == 0  # meets the bound exactly at d = 4
-    assert b.compare(Fraction(42, 64)) == 1
-    assert b.compare(Fraction(40, 64)) == -1
-    assert b.compare(Fraction(1, 3)) == -1  # below 1/2
+    assert oracles.sqrt_bound_sign(b, Fraction(41, 64)) == 0  # meets the bound exactly at d = 4
+    assert oracles.sqrt_bound_sign(b, Fraction(42, 64)) == 1
+    assert oracles.sqrt_bound_sign(b, Fraction(40, 64)) == -1
+    assert oracles.sqrt_bound_sign(b, Fraction(1, 3)) == -1  # below 1/2
 
 
 def test_bound_floats():
@@ -215,7 +215,7 @@ def test_threshold_bound_dominates_shearer():
 def test_bound_compare_agrees_with_float(d):
     b = threshold_bound(d)
     r = Fraction(1, 2) + Fraction(9, 32 * (math.isqrt(d) + 1))  # below the bound
-    assert b.compare(r) <= 0
+    assert oracles.sqrt_bound_sign(b, r) <= 0
 
 
 def test_verify_theorem_bound_small():
@@ -227,7 +227,7 @@ def test_verify_theorem_bound_small():
         # the incremental binomial walk equals the direct closed form
         assert c.alpha == alpha_closed_form(c.tau, c.degree)
         assert c.tau == tau_formula(c.degree)
-        assert threshold_bound(c.degree).compare(c.alpha) == (
+        assert oracles.sqrt_bound_sign(threshold_bound(c.degree), c.alpha) == (
             0 if c.equality else (1 if c.passed else -1)
         )
 

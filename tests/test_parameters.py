@@ -33,13 +33,11 @@ from localcut.sim import (
     VirtualNeighbourCut,
     complete_bipartite,
     cycle_graph,
-    empirical_joint_distribution,
     from_edges,
     hypercube_graph,
     monte_carlo,
     random_bipartite_regular,
     random_triangle_free,
-    run_trial,
     write_trial_stats_json,
 )
 
@@ -114,21 +112,12 @@ def _entry_points():
         "alpha(tau)": lambda x: alpha(x, 3),
         "alpha_closed_form(tau)": lambda x: alpha_closed_form(x, 3),
         "ThresholdRule(tau)": lambda x: ThresholdRule(3, x),
-        "run_trial(ThresholdCut)": lambda x: run_trial(g, ThresholdCut(x), 0),
-        "run_trial(VirtualNeighbourCut)": lambda x: run_trial(star, VirtualNeighbourCut(x), 0),
         "monte_carlo(ThresholdCut)": lambda x: monte_carlo(g, ThresholdCut(x), 10, 0),
         "monte_carlo(VirtualNeighbourCut)": lambda x: monte_carlo(
             star, VirtualNeighbourCut(x), 10, 0
         ),
         "monte_carlo(trials)": lambda x: monte_carlo(g, ThresholdCut(2), x, 0),
         "monte_carlo(seed)": lambda x: monte_carlo(g, ThresholdCut(2), 10, x),
-        "run_trial(seed)": lambda x: run_trial(g, ThresholdCut(2), x),
-        "empirical_joint_distribution(trials)": lambda x: empirical_joint_distribution(
-            g, (0, 3), x, 0
-        ),
-        "empirical_joint_distribution(seed)": lambda x: empirical_joint_distribution(
-            g, (0, 3), 10, x
-        ),
         "random_bipartite_regular(seed)": lambda x: random_bipartite_regular(6, 3, x),
         "random_triangle_free(seed)": lambda x: random_triangle_free(20, 3, x),
     }
@@ -198,9 +187,6 @@ def test_trial_counts_and_seeds_are_held_as_python_ints(kind):
     buf = io.StringIO()
     write_trial_stats_json(buf, stats)  # numpy integers would not serialise
     assert '"trials": 5,' in buf.getvalue() and '"seed": 7,' in buf.getvalue()
-    assert run_trial(g, ThresholdCut(2), kind(7)) == run_trial(g, ThresholdCut(2), 7)
-    joint = empirical_joint_distribution(g, (0, 3), kind(50), kind(7))
-    assert joint == empirical_joint_distribution(g, (0, 3), 50, 7)
 
 
 @pytest.mark.parametrize("generate,args", [

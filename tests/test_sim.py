@@ -29,17 +29,14 @@ from localcut.sim import (
     complete_bipartite,
     cycle_graph,
     draw_bits,
-    empirical_joint_distribution,
     from_edges,
     hypercube_graph,
-    labels_from_bits,
     make_trial_rng,
     monte_carlo,
     petersen_graph,
     random_bipartite_regular,
     random_triangle_free,
     read_edge_list,
-    run_trial,
     trial_stats_jsonable,
     write_edge_list,
     write_trial_stats_csv,
@@ -172,6 +169,8 @@ def test_from_edges_names_the_first_repeat_in_input_order():
     np.array([[0.5, 1.0]]),
     np.array([[False, True]]),
     np.array([[0, 1]], dtype=object),
+    np.array([[2**64 - 1, 0], [0, 1]], dtype=np.uint64),  # a cast to intp would wrap these
+    np.array([[2**63, 1]], dtype=np.uint64),
 ])
 def test_from_edges_rejects_non_integer_endpoints(edges):
     with pytest.raises(TypeError, match="must be integers"):
@@ -181,7 +180,7 @@ def test_from_edges_rejects_non_integer_endpoints(edges):
 def test_from_edges_accepts_integer_lists_and_arrays():
     want = [[0, 1], [1, 2]]
     for edges in (want, [(np.int64(0), np.int32(1)), (1, 2)], np.array(want, dtype=np.uint8),
-                  np.array(want, dtype=np.int32)):
+                  np.array(want, dtype=np.int32), np.array(want, dtype=np.uint64)):
         assert from_edges(3, 2, edges).edges.tolist() == want
     assert from_edges(3, 2, []).edges.shape == (0, 2)
 
@@ -626,11 +625,9 @@ def test_edge_list_reader_matches_the_line_reader(rows, miscount, end, chunk):
 
 def test_threshold_extreme_taus_reduce_to_the_base_cut():
     g = complete_bipartite(3)
-    rng = make_trial_rng(11, 0)
-    c1 = draw_bits(rng, g.node_count)
-    base = labels_from_bits(c1)
-    keep = run_trial(g, ThresholdCut(4), seed=11)  # tau = d + 1: nobody flips
-    flip = run_trial(g, ThresholdCut(0), seed=11)  # tau = 0: everybody flips
+    base = oracles.run_trial(g, UniformCut(), seed=11)  # the base cut c1
+    keep = oracles.run_trial(g, ThresholdCut(4), seed=11)  # tau = d + 1: nobody flips
+    flip = oracles.run_trial(g, ThresholdCut(0), seed=11)  # tau = 0: everybody flips
     assert keep == base
     assert flip == {v: "b" if s == "a" else "a" for v, s in base.items()}
     assert cut_fraction(g, keep) == cut_fraction(g, flip)
@@ -639,13 +636,13 @@ def test_threshold_extreme_taus_reduce_to_the_base_cut():
 def test_runner_validation():
     g = complete_bipartite(3)
     with pytest.raises(ValueError, match="tau must be in"):
-        run_trial(g, ThresholdCut(5), seed=0)
+        monte_carlo(g, ThresholdCut(5), 1, seed=0)
     with pytest.raises(ValueError, match="VirtualNeighbourCut"):
-        run_trial(from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]), ThresholdCut(3), seed=0)
+        monte_carlo(from_edges(4, 3, [(0, 1), (0, 2), (0, 3)]), ThresholdCut(3), 1, seed=0)
     with pytest.raises(ValueError, match="triangle"):
-        run_trial(from_edges(3, 2, [(0, 1), (1, 2), (0, 2)]), ShearerCut(), seed=0)
+        monte_carlo(from_edges(3, 2, [(0, 1), (1, 2), (0, 2)]), ShearerCut(), 1, seed=0)
     with pytest.raises(ValueError, match="tau must be in"):
-        run_trial(complete_bipartite(3), VirtualNeighbourCut(5), seed=0)
+        monte_carlo(complete_bipartite(3), VirtualNeighbourCut(5), 1, seed=0)
 
 
 def test_shearer_ignores_c3_for_odd_degree():
@@ -710,7 +707,8 @@ def test_virtual_locality_and_padding():
 def test_virtual_equals_threshold_on_regular_graphs():
     g = complete_bipartite(3)
     for seed in (0, 1, 2, 3):
-        assert run_trial(g, VirtualNeighbourCut(3), seed) == run_trial(g, ThresholdCut(3), seed)
+        virtual = oracles.run_trial(g, VirtualNeighbourCut(3), seed)
+        assert virtual == oracles.run_trial(g, ThresholdCut(3), seed)
 
 
 def test_randomness_budget(monkeypatch):
@@ -726,14 +724,14 @@ def test_randomness_budget(monkeypatch):
 
     monkeypatch.setattr(sim, "philox_bits", counting)
     g = petersen_graph()
-    run_trial(g, ThresholdCut(3), seed=0)
+    monte_carlo(g, ThresholdCut(3), 1, seed=0)
     assert calls == [[(10, 1)]]  # one bit per node
     calls.clear()
-    run_trial(g, ShearerCut(), seed=0)
+    monte_carlo(g, ShearerCut(), 1, seed=0)
     assert calls == [[(10, 1), (10, 1), (10, 1)]]  # three cuts
     calls.clear()
     star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    run_trial(star, VirtualNeighbourCut(3), seed=0)
+    monte_carlo(star, VirtualNeighbourCut(3), 1, seed=0)
     assert calls == [[(4, 1), (6, 1)]]  # one own bit per node, then 2 virtual bits per leaf
     calls.clear()
     monte_carlo(g, UniformCut(), trials=3, seed=0)
@@ -890,14 +888,14 @@ def route_slots(bits):
 
 @pytest.mark.parametrize("graph,alg", BLOCK_CASES)
 def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
-    # and of the Philox route that each block size takes; run_trial as well
+    # and of the Philox route that each block size takes; a one-trial run as well
     g, spec = BLOCK_GRAPHS[graph](), BLOCK_SPECS[alg]
     bits = sum(sim._block_rule(g, spec)[0])
     routed = c_route_calls(monkeypatch)
 
     def run():
         return (monte_carlo(g, spec, trials=3001, seed=0xC0FFEE, per_edge=True),
-                run_trial(g, spec, seed=0xC0FFEE))
+                monte_carlo(g, spec, trials=1, seed=0xC0FFEE, per_edge=True))
 
     default = run()
     assert not routed  # a small graph's default blocks take the rounds
@@ -911,10 +909,10 @@ def test_monte_carlo_is_independent_of_the_block_size(graph, alg, monkeypatch):
 @pytest.mark.parametrize("graph,edge", [("k33", (0, 3)), ("petersen", (0, 5))])
 def test_the_philox_routes_give_the_same_joint_distribution(graph, edge, monkeypatch):
     g = BLOCK_GRAPHS[graph]()
-    want = empirical_joint_distribution(g, edge, 301, seed=11)
+    want = oracles.sampled_joint_views(g, edge, 301, seed=11)
     for slots, _ in route_slots(g.node_count):
         monkeypatch.setattr(sim, "BLOCK_SLOTS", slots)
-        assert empirical_joint_distribution(g, edge, 301, seed=11) == want
+        assert oracles.sampled_joint_views(g, edge, 301, seed=11) == want
 
 
 def cycle_with_a_triangle(n: int) -> sim.RegularGraph:
@@ -951,7 +949,16 @@ def test_monte_carlo_tally_is_independent_of_the_block_width(case, monkeypatch):
         assert run(True) == want_counts
 
 
-def test_monte_carlo_matches_the_per_trial_stream():
+@pytest.mark.parametrize("seed", (0, 7, 0xC0FFEE, -1, 2**64 - 1))
+@pytest.mark.parametrize("graph,alg", BLOCK_CASES)
+def test_monte_carlo_matches_the_per_trial_stream(graph, alg, seed):
+    # trial 0 of the block kernel against numpy's Generator, through the oracle
+    g, spec = BLOCK_GRAPHS[graph](), BLOCK_SPECS[alg]
+    want = float(cut_fraction(g, oracles.run_trial(g, spec, seed)))
+    assert monte_carlo(g, spec, 1, seed).mean == want
+
+
+def test_monte_carlo_per_edge_counts_match_the_per_trial_stream():
     g = petersen_graph()
     nbr = g.nbr
     edges = [tuple(e) for e in g.edges.tolist()]
@@ -1081,7 +1088,7 @@ def test_monte_carlo_validation():
 def test_joint_distribution_matches_ngraph_weights():
     g = complete_bipartite(3)
     trials = 20_000
-    counts = empirical_joint_distribution(g, (0, 3), trials, seed=3)
+    counts = oracles.sampled_joint_views(g, (0, 3), trials, seed=3)
     weights = build_ngraph(3)
     assert len(counts) == 64
     assert sum(counts.values()) == trials
@@ -1096,7 +1103,7 @@ def test_joint_distribution_matches_ngraph_weights():
 def test_joint_distribution_total_variation():
     g = petersen_graph()
     trials = 20_000
-    counts = empirical_joint_distribution(g, (0, 5), trials, seed=5)
+    counts = oracles.sampled_joint_views(g, (0, 5), trials, seed=5)
     weights = build_ngraph(3)
     tv = 0.5 * sum(
         abs(count / trials - float(weights.weight(*cell)))
@@ -1107,20 +1114,6 @@ def test_joint_distribution_total_variation():
         for cell in counts
     )
     assert tv <= 3 * aggregate_sigma
-
-
-def test_joint_distribution_validation():
-    g = complete_bipartite(3)
-    with pytest.raises(ValueError, match="not in the graph"):
-        empirical_joint_distribution(g, (0, 1), 10, seed=0)
-    for edge in ((0.0, 3), (0, 3.0), (True, 3), ("0", 3)):  # never an index
-        with pytest.raises(ValueError, match="^edge endpoints must be integers, got "):
-            empirical_joint_distribution(g, edge, 10, seed=0)
-    with pytest.raises(ValueError, match="trials"):
-        empirical_joint_distribution(g, (0, 3), 0, seed=0)
-    star = from_edges(4, 3, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError, match="regular"):
-        empirical_joint_distribution(star, (0, 1), 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
