@@ -480,35 +480,36 @@ def write_tau_opt_csv(fh: IO[str], d_values: Iterable[int]) -> list[tuple[int, l
     return ties
 
 
-def bound_report_json(report: BoundReport) -> str:
-    """The `verify --bound` report as `json.dumps(doc, indent=2)` plus a newline.
+def bound_report_json(fh: IO[str], report: BoundReport) -> None:
+    """Write the `verify --bound` report to `fh`: `json.dumps(doc, indent=2)` and a newline.
 
-    The indented text is assembled directly, one f-string per check, instead
-    of running the pure-Python encoder over a dict of every field.  Floats
-    print as `float.__repr__`, as the encoder prints finite floats.
+    The indented text is assembled directly, one f-string per check and 64
+    checks a write, instead of running the pure-Python encoder over a dict
+    of every field.  Floats print as `float.__repr__`, as the encoder prints
+    finite floats.
     """
-
-    def block(items: list[str]) -> str:
-        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-
     ours = float(THRESHOLD_COEFF_SQ)  # to_float's, once
     js = ("false", "true")
-    checks = [
-        f'{{\n      "d": {c.degree},\n      "tau": {c.tau},\n'
-        f'      "alpha_float": {_alpha_float(c.gain, c.degree)!r},\n'
-        f'      "bound_float": {_root_bound_float(ours, c.degree)!r},\n'
-        f'      "passed": {js[c.passed]},\n      "equality": {js[c.equality]}\n    }}'
-        for c in report.checks
-    ]
-    return (
+    checks = report.checks
+    degrees = ",\n    ".join(str(d) for d in report.equality_degrees)
+    fh.write(
         f'{{\n  "d_max": {report.d_max},\n  "all_pass": {js[report.all_pass]},\n'
-        f'  "equality_degrees": {block([str(d) for d in report.equality_degrees])},\n'
-        f'  "checks": {block(checks)}\n}}\n'
+        '  "equality_degrees": ' + (f"[\n    {degrees}\n  ]" if degrees else "[]")
+        + ',\n  "checks": ' + ("[\n    " if checks else "[]")
     )
+    for start in range(0, len(checks), 64):
+        fh.write(",\n    " * (start > 0) + ",\n    ".join([
+            f'{{\n      "d": {c.degree},\n      "tau": {c.tau},\n'
+            f'      "alpha_float": {_alpha_float(c.gain, c.degree)!r},\n'
+            f'      "bound_float": {_root_bound_float(ours, c.degree)!r},\n'
+            f'      "passed": {js[c.passed]},\n      "equality": {js[c.equality]}\n    }}'
+            for c in checks[start:start + 64]
+        ]))
+    fh.write("\n  ]\n}\n" if checks else "\n}\n")
 
 
-def appendix_report_json(report: AppendixEstimateReport) -> str:
-    """The `verify --appendix` report as `json.dumps(doc, indent=2)` plus a newline."""
+def appendix_report_json(fh: IO[str], report: AppendixEstimateReport) -> None:
+    """Write the `verify --appendix` report to `fh`: `json.dumps(doc, indent=2)` and a newline."""
     doc = {
         "all_hold": report.all_hold,
         "conclusive": report.conclusive,
@@ -527,4 +528,4 @@ def appendix_report_json(report: AppendixEstimateReport) -> str:
             for c in report.checks
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    fh.write(json.dumps(doc, indent=2) + "\n")

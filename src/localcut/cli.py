@@ -115,15 +115,11 @@ def _seed(text: str) -> int:
 
 def cmd_build_ngraph(args: argparse.Namespace) -> int:
     g = ngraph.build_ngraph(args.d)
-    with _output(args.out) as fh:
-        if args.format == "text":
-            fh.write(ngraph.format_ngraph_table(g))
-        elif args.format == "csv":
-            # the text table's pair lines, comma-separated
-            rows = ngraph.format_ngraph_table(g).split("\n", 1)[1]
-            fh.write("side1,i1,side2,i2,num,den\n" + rows.replace(" ", ","))
-        else:  # one n1 row at a time: the document is never held whole
+    with _output(args.out) as fh:  # one n1 row at a time: the document is never held whole
+        if args.format == "json":
             fh.writelines(ngraph.ngraph_json_chunks(g))
+        else:
+            ngraph.format_ngraph_table(fh, g, args.format)
     return 0
 
 
@@ -175,7 +171,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_export_wcnf(args: argparse.Namespace) -> int:
     doc = cutsearch.export_wcnf(ngraph.build_ngraph(args.d))
     with _output(args.out) as fh:
-        fh.write(cutsearch.format_wcnf(doc))
+        cutsearch.format_wcnf(fh, doc)
     return 0
 
 
@@ -204,18 +200,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # an existing file as it was
     if args.bound:
         report = analysis.verify_theorem_bound(DEFAULT_DMAX if args.dmax is None else args.dmax)
-        text = analysis.bound_report_json(report)
-        ok = report.all_pass
+        write, ok = analysis.bound_report_json, report.all_pass
     else:
         try:
             ns = [int(x) for x in args.appendix.split(",") if x]
         except ValueError:
             raise ValueError(f"expected comma-separated integers, got {args.appendix!r}") from None
         report = analysis.verify_appendix_estimates(ns)
-        text = analysis.appendix_report_json(report)
-        ok = report.all_hold and report.conclusive
+        write, ok = analysis.appendix_report_json, report.all_hold and report.conclusive
     with _output(args.out) as fh:
-        fh.write(text)
+        write(fh, report)
     return 0 if ok else 1
 
 

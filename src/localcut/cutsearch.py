@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator, NamedTuple
+from typing import IO, Dict, Iterator, NamedTuple
 
 from .ngraph import (
     SIDES, Neighbourhood, WeightedNgraph, all_neighbourhoods, check_degree, check_tau,
@@ -232,16 +232,16 @@ def export_wcnf(g: WeightedNgraph) -> WcnfDocument:
     return WcnfDocument(g)
 
 
-def format_wcnf(doc: WcnfDocument) -> str:
-    """DIMACS WCNF text: comments, `p wcnf` header, one clause per line.
+def format_wcnf(fh: IO[str], doc: WcnfDocument) -> None:
+    """Write DIMACS WCNF text to `fh`: comments, `p wcnf` header, one clause per line.
 
-    Written row by row from the graph's two profiles; `doc.clauses` is not
-    built.
+    Written row by row from the graph's two profiles, one variable's clauses
+    a write; `doc.clauses` is not built.
     """
-    lines = [f"c d = {doc.graph.degree}"]
-    for i, n in enumerate(doc.graph.nodes, start=1):
-        lines.append(f"c var {i} = ({n.side},{n.like_count})")
+    g = doc.graph
+    lines = [f"c d = {g.degree}"]
+    lines += [f"c var {i} = ({n.side},{n.like_count})" for i, n in enumerate(g.nodes, start=1)]
     lines.append(f"p wcnf {doc.variable_count} {doc.clause_count} {doc.top}")
-    for u, row in _clause_rows(doc.graph):  # w printed once for both clauses
-        lines += [f"{w} {u} {v} 0\n{w} -{u} -{v} 0" for v, w in row for w in [str(w)]]
-    return "\n".join(lines) + "\n"
+    fh.write("\n".join(lines) + "\n")
+    for u, row in _clause_rows(g):  # w printed once for both clauses
+        fh.write("".join([f"{w} {u} {v} 0\n{w} -{u} -{v} 0\n" for v, w in row for w in [str(w)]]))

@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 # The two sides of a cut; bit value b labels side SIDES[b] across the package.
 SIDES = ("a", "b")
@@ -152,43 +152,43 @@ def _two_adic(p: int) -> tuple[int, int]:
     return p >> e, e
 
 
-def _weight_rows(g: WeightedNgraph, sep: str) -> list[list[str]]:
-    """Per node n1, the weight of (n1, n2) for every n2 as `num{sep}den`, lowest terms.
+def _weight_rows(g: WeightedNgraph, sep: str) -> Iterator[list[str]]:
+    """Per node n1 in order, the weight of (n1, n2) for every n2 as `num{sep}den`, lowest terms.
 
     With every nonzero profile entry written p = o * 2^e, o odd, the pair
     weight p1 * p2 / 4^d is o1 * o2 / 2^(2d - e1 - e2): an odd numerator
     over a power of two, so already in lowest terms, with no gcd taken.  A
     zero weight is `0{sep}1`.  A row halves into the n2 on n1's side, which
     read `same`, and those across, which read `cross`; side b's rows are side
-    a's with the halves swapped, so each half is formatted once.
+    a's with the halves swapped.  As same = (0,) + cross[:-1], the same half
+    of row i > 0 is a zero and cross row i - 1 less its last entry, so each
+    pass (side a, then side b) formats each cross row once and holds two.
     """
     d = g.degree
     den = [f"{sep}{1 << m}" for m in range(2 * d + 1)]
     zero = f"0{sep}1"
-
-    def halves(profile: tuple[int, ...]) -> list[list[str]]:
-        factors = [_two_adic(p) for p in profile]
-        out = []
+    factors = [_two_adic(p) for p in g.cross]
+    for swap in (False, True):
+        same = [zero] * (d + 1)
         for o1, e1 in factors:
             top = 2 * d - e1
-            out.append([f"{o1 * o}{den[top - e]}" if o1 and o else zero for o, e in factors])
-        return out
-
-    same, cross = halves(g.same), halves(g.cross)
-    return [s + c for s, c in zip(same, cross)] + [c + s for s, c in zip(same, cross)]
+            cross = [f"{o1 * o}{den[top - e]}" if o1 and o else zero for o, e in factors]
+            yield cross + same if swap else same + cross
+            same = [zero] + cross[:d]
 
 
-def format_ngraph_table(g: WeightedNgraph) -> str:
-    """Text serialisation: header `d=<d>`, then one line per ordered pair.
+def format_ngraph_table(fh: IO[str], g: WeightedNgraph, fmt: str = "text") -> None:
+    """Write the table to `fh`, one n1 row a write: a header, then a line per ordered pair.
 
-    Line format: `side1 i1 side2 i2 numerator denominator`, the weight in
-    lowest terms.
+    fmt "text": header `d=<d>`, lines `side1 i1 side2 i2 numerator
+    denominator`.  fmt "csv": header `side1,i1,side2,i2,num,den`, the same
+    lines comma-separated.  Weights are in lowest terms.
     """
-    labels = [f"{n.side} {n.like_count}" for n in g.nodes]
-    lines = [f"d={g.degree}"]
-    for head, row in zip(labels, _weight_rows(g, " ")):
-        lines += [f"{head} {label} {w}" for label, w in zip(labels, row)]
-    return "\n".join(lines) + "\n"
+    sep, header = {"text": (" ", f"d={g.degree}"), "csv": (",", "side1,i1,side2,i2,num,den")}[fmt]
+    fh.write(header + "\n")
+    labels = [f"{n.side}{sep}{n.like_count}{sep}" for n in g.nodes]
+    for head, row in zip(labels, _weight_rows(g, sep)):
+        fh.write("".join([f"{head}{label}{w}\n" for label, w in zip(labels, row)]))
 
 
 def ngraph_json_chunks(g: WeightedNgraph) -> Iterator[str]:
@@ -204,7 +204,7 @@ def ngraph_json_chunks(g: WeightedNgraph) -> Iterator[str]:
     with weights in lowest terms and pairs in node order.  The indented text
     is assembled directly: each node's `[side, i]` block is formatted once
     per nesting depth, instead of running the pure-Python encoder over
-    4(d+1)^2 dicts.
+    4(d+1)^2 dicts, and `_weight_rows` hands over one row at a time.
     """
 
     def block(n: Neighbourhood, pad: str) -> str:

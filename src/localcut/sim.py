@@ -84,7 +84,7 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
 
     Raises `TypeError` for an endpoint that is not an integer (a float, bool,
     string or other object), which a cast would truncate or coerce, and for
-    a uint64 endpoint above int64's range, which it would wrap. Rejects
+    one outside int64's range, which it would wrap; the message names it. Rejects
     out-of-range endpoints, then the first self-loop or repeated edge in
     input order (one sort of the m keys min(u, v) * n + max(u, v) finds
     both, before anything is built), then nodes above the degree bound.
@@ -94,14 +94,18 @@ def from_edges(node_count: int, degree: int, edges: Union[Sequence, np.ndarray])
     node_count = check_integer(node_count, 1, math.inf, "node_count must be an integer >= 1")
     degree = check_integer(degree, 1, math.inf, "degree must be an integer >= 1")
     e = np.asarray(edges)
+    fit = "edge endpoints must be integers that fit in int64, got"
     if e.size and e.dtype.kind not in "iu":
-        raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.dtype} values")
+        # a list holding an int past int64 converts to float64 or object: name the int
+        wide = (x for x in np.asarray(edges, dtype=object).flat
+                if isinstance(x, (int, np.integer)) and not -(2**63) <= x < 2**63)
+        raise TypeError(f"{fit} {next(wide, f'{e.dtype} values')}")
     if e.size and e.dtype.kind == "u" and e.max() > np.iinfo(np.int64).max:
-        raise TypeError(f"edge endpoints must be integers that fit in int64, got {e.max()}")
+        raise TypeError(f"{fit} {e.max()}")
     if e.size and not isinstance(edges, np.ndarray):
         # a list that mixes bools with ints converts to an integer dtype
         if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(edges, dtype=object).flat):
-            raise TypeError("edge endpoints must be integers that fit in int64, got bool values")
+            raise TypeError(f"{fit} bool values")
     e = e.astype(np.intp, copy=False).reshape(-1, 2)
     g = _simple_graph(node_count, degree, e)
     if g is None:

@@ -17,11 +17,13 @@ and `edge_list_by_lines` reads an edge list line by line through `int()`.
 the Monte Carlo block kernel, `sampled_joint_views` tallies the endpoint
 views of one edge under uniform random cuts, and `sqrt_bound_sign` compares
 a rational with a `SqrtBound` by squaring out the root.  None of the three
-validates its arguments: only tests call them.
+validates its arguments: only tests call them.  `written` collects what
+one of the package's streaming writers writes, as one string.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 from itertools import product
@@ -35,6 +37,13 @@ from localcut.ngraph import (
 )
 
 _SIDE = ("a", "b")
+
+
+def written(write, *args) -> str:
+    """Everything `write(fh, *args)` writes to `fh`."""
+    fh = io.StringIO()
+    write(fh, *args)
+    return fh.getvalue()
 
 
 def _popcount(x: int) -> int:

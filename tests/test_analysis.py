@@ -234,7 +234,7 @@ def test_verify_theorem_bound_small():
 
 def test_bound_check_gain_and_reported_alpha():
     report = verify_theorem_bound(3000)
-    rows = json.loads(bound_report_json(report))["checks"]
+    rows = json.loads(oracles.written(bound_report_json, report))["checks"]
     for c, row in zip(report.checks, rows, strict=True):
         assert c.gain == (c.alpha - Fraction(1, 2)) * 4 ** (c.degree - 1)
         assert row == {
@@ -250,7 +250,7 @@ def test_bound_check_gain_and_reported_alpha():
 @pytest.mark.parametrize("d_max", [*range(2, 41), 3000])
 def test_bound_report_writer_matches_the_encoder(d_max):
     report = verify_theorem_bound(d_max)
-    text = bound_report_json(report)
+    text = oracles.written(bound_report_json, report)
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
@@ -258,7 +258,7 @@ def test_bound_report_writer_prints_failures():
     report = verify_theorem_bound(3)
     failed = report.checks[1]._replace(passed=False)
     report = report._replace(checks=(report.checks[0], failed), all_pass=False)
-    text = bound_report_json(report)
+    text = oracles.written(bound_report_json, report)
     doc = json.loads(text)
     assert json.dumps(doc, indent=2) + "\n" == text
     assert doc["all_pass"] is False and doc["equality_degrees"] == []
@@ -593,11 +593,11 @@ def test_tau_opt_csv_floats_match_the_exact_values():
 
 
 def test_report_json_shapes():
-    rep = json.loads(bound_report_json(verify_theorem_bound(6)))
+    rep = json.loads(oracles.written(bound_report_json, verify_theorem_bound(6)))
     assert rep["all_pass"] is True
     assert rep["equality_degrees"] == [4]
     assert {c["d"] for c in rep["checks"]} == set(range(2, 7))
-    app = json.loads(appendix_report_json(verify_appendix_estimates([1500])))
+    app = json.loads(oracles.written(appendix_report_json, verify_appendix_estimates([1500])))
     assert app["all_hold"] is True and app["conclusive"] is True
     assert all(
         set(c) == {"name", "n", "j", "lo_float", "hi_float", "threshold", "relation", "status", "precision"}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -174,6 +176,61 @@ def test_export_wcnf_is_the_pair_loops_text(capsys, tmp_path, d):
     path = tmp_path / "g.wcnf"
     assert run(capsys, "export-wcnf", "--d", str(d), "--out", str(path))[0] == 0
     assert_same_text(path.read_text(), expected)
+
+
+# ---------------------------------------------------------------------------
+# the exact writers stream
+
+
+class CharCount:
+    """A text file that keeps only the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, chunks) -> None:
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def traced_peak(write) -> int:
+    """The traced peak, in bytes above the start, while `write()` runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-ngraph", "--d", "120"],
+    ["build-ngraph", "--d", "120", "--format", "csv"],
+    ["build-ngraph", "--d", "120", "--format", "json"],
+    ["export-wcnf", "--d", "120"],
+], ids=["text", "csv", "json", "wcnf"])
+def test_graph_writers_hold_a_row_not_the_document(monkeypatch, argv):
+    # 3.5 to 14.5 MB of text: a command that holds its whole output (or a
+    # copy of it) peaks above that; one that writes a row at a time peaks
+    # below 0.4 MB, argparse's parser included
+    sink = CharCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    peak = traced_peak(lambda: main(argv))
+    assert peak < sink.chars / 8, (peak, sink.chars)
+
+
+def test_bound_report_writer_holds_a_batch_not_the_report():
+    # traced from after the report is built: 0.5 MB of text, written 64
+    # checks a write
+    report = analysis.verify_theorem_bound(3000)
+    sink = CharCount()
+    peak = traced_peak(lambda: analysis.bound_report_json(sink, report))
+    assert peak < sink.chars / 8, (peak, sink.chars)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from localcut.cutsearch import (
     threshold_assignment,
 )
 from localcut.ngraph import Neighbourhood, build_ngraph
-from oracles import exhaustive_max_weight, grid_max_cut, threshold_cut_probability
+from oracles import exhaustive_max_weight, grid_max_cut, threshold_cut_probability, written
 
 
 def test_threshold_boundary_assignments():
@@ -181,13 +181,13 @@ def test_wcnf_closed_forms_and_text(d):
     assert len(doc.clauses) == doc.clause_count == 2 * (2 * d * d + d)
     assert doc.top == 2 * 4**d + 1 == 1 + sum(c.weight for c in doc.clauses)
     # the clauses in file order are the text's clause lines
-    body = format_wcnf(doc).splitlines()[2 * d + 4:]
+    body = written(format_wcnf, doc).splitlines()[2 * d + 4:]
     assert body == [f"{c.weight} {c.literals[0]} {c.literals[1]} 0" for c in doc.clauses]
 
 
 def test_wcnf_text_format():
     doc = export_wcnf(build_ngraph(2))
-    text = format_wcnf(doc)
+    text = written(format_wcnf, doc)
     lines = text.splitlines()
     assert lines[0] == "c d = 2"
     assert lines[1] == "c var 1 = (a,0)"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from fractions import Fraction
@@ -17,7 +16,7 @@ from localcut.ngraph import (
     format_ngraph_table,
     ngraph_json_chunks,
 )
-from oracles import joint_view_distribution, ngraph_json_doc, parse_ngraph_table
+from oracles import joint_view_distribution, ngraph_json_doc, parse_ngraph_table, written
 
 
 def test_known_weights_d3():
@@ -82,7 +81,7 @@ def test_node_order_and_count():
 
 def test_table_round_trip():
     g = build_ngraph(4)
-    text = format_ngraph_table(g)
+    text = written(format_ngraph_table, g)
     assert text.startswith("d=4\n")
     assert len(text.strip().splitlines()) == 1 + 10 * 10
     parsed = parse_ngraph_table(text)
@@ -91,8 +90,7 @@ def test_table_round_trip():
 
 
 def test_table_line_format():
-    buf = io.StringIO(format_ngraph_table(build_ngraph(2)))
-    lines = buf.getvalue().splitlines()
+    lines = written(format_ngraph_table, build_ngraph(2)).splitlines()
     # line for the pair ((a,0), (a,0)); zero weight is kept in the table
     assert lines[1] == "a 0 a 0 0 1"
 
@@ -118,7 +116,7 @@ BAD_TABLE_LINES = [
     ids=BAD_TABLE_LINES + ["exchanged weights"],
 )
 def test_table_parse_rejects_nodes_outside_the_graph(line, first):
-    lines = format_ngraph_table(build_ngraph(2)).splitlines()
+    lines = written(format_ngraph_table, build_ngraph(2)).splitlines()
     lines[-1] = line  # the line count stays right
     if first is not None:
         lines[1] = first
@@ -132,7 +130,7 @@ def test_table_parse_rejects_nodes_outside_the_graph(line, first):
 
 
 def test_table_parse_accepts_unreduced_weights():
-    text = format_ngraph_table(build_ngraph(2)).replace("b 2 b 2 1 16", "b 2 b 2 2 32")
+    text = written(format_ngraph_table, build_ngraph(2)).replace("b 2 b 2 1 16", "b 2 b 2 2 32")
     assert parse_ngraph_table(text) == build_ngraph(2)
 
 

@@ -165,7 +165,7 @@ def test_from_edges_names_the_first_repeat_in_input_order():
     [("0", 1)],
     [(0, None)],
     [(object(), 1)],
-    [(2**63, 1)],  # an int beyond int64 converts to an object array
+    [(2**63, 1)],  # an int in [2^63, 2^64) converts to float64
     np.array([[0.5, 1.0]]),
     np.array([[False, True]]),
     np.array([[0, 1]], dtype=object),
@@ -174,6 +174,20 @@ def test_from_edges_names_the_first_repeat_in_input_order():
 ])
 def test_from_edges_rejects_non_integer_endpoints(edges):
     with pytest.raises(TypeError, match="must be integers"):
+        from_edges(3, 2, edges)
+
+
+@pytest.mark.parametrize("edges, wide", [
+    ([(2**63, 1)], 2**63),  # the list converts to float64
+    ([(0, 1), (2**64 - 1, 0)], 2**64 - 1),
+    ([(0, 1), (1, 2**64)], 2**64),  # to object
+    ([(-(2**63) - 1, 0)], -(2**63) - 1),
+    ([(np.uint64(2**63), 0)], 2**63),  # a numpy scalar, to float64
+])
+def test_from_edges_names_an_endpoint_outside_int64(edges, wide):
+    # the endpoint the caller passed, not the dtype numpy chose for the list
+    want = rf"^edge endpoints must be integers that fit in int64, got {wide}$"
+    with pytest.raises(TypeError, match=want):
         from_edges(3, 2, edges)
 
 
