@@ -280,7 +280,7 @@ def verify_theorem_bound(d_max: int) -> BoundReport:
             c_hi += below
         gain = c_hi * s  # C(n, tau-1) * S = (alpha - 1/2) * 4^n
         passed, equality = _bound_decision(gain, d)
-        checks.append(BoundCheck(degree=d, tau=tau, gain=gain, passed=passed, equality=equality))
+        checks.append(BoundCheck(d, tau, gain, passed, equality))
     return BoundReport(
         d_max=d_max,
         checks=tuple(checks),

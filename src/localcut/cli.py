@@ -72,8 +72,8 @@ def _rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_degree_range(text: str) -> List[int]:
-    """`a` or `a..b` (inclusive), degrees >= 2."""
+def _parse_degree_range(text: str) -> range:
+    """`a` or `a..b` (inclusive), degrees >= 2, as a range: never a list."""
     parts = text.split("..")
     try:
         if len(parts) > 2:
@@ -84,7 +84,7 @@ def _parse_degree_range(text: str) -> List[int]:
     ngraph.check_degree(lo)
     if hi < lo:
         raise ValueError(f"empty degree range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 @contextmanager
@@ -125,12 +125,12 @@ def cmd_build_ngraph(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     degrees = _parse_degree_range(args.d)
-    over = [d for d in degrees if d > cutsearch.BRUTE_FORCE_MAX_DEGREE]
-    if over:
+    cap = cutsearch.BRUTE_FORCE_MAX_DEGREE
+    if degrees[-1] > cap:
+        first = max(degrees[0], cap + 1)  # the first degree over the cap
         raise ValueError(
-            f"exhaustive search is capped at d = {cutsearch.BRUTE_FORCE_MAX_DEGREE} "
-            f"(asked for d = {over[0]}); use the export-wcnf subcommand and an "
-            "external MaxSAT solver"
+            f"exhaustive search is capped at d = {cap} (asked for d = {first}); "
+            "use the export-wcnf subcommand and an external MaxSAT solver"
         )
     rows = []
     for d in degrees:
@@ -270,7 +270,136 @@ def cmd_gen_graph(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _make_parser() -> argparse.ArgumentParser:
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()  # --seed with --entropy is a usage error
+    group.add_argument(  # None when not given, so gen-graph can refuse it
+        "--seed",
+        type=_seed,
+        help=f"master seed in 0..2^64-1 (default {DEFAULT_SEED:#x})",
+    )
+    group.add_argument(
+        "--entropy",
+        action="store_true",
+        help="draw the seed from OS entropy and print it to stderr",
+    )
+
+
+def _add_graph(p: argparse.ArgumentParser, families) -> None:
+    p.add_argument("--family", required=True, choices=families)
+    p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
+    p.add_argument("--n", type=int, help="size parameter where the family needs it")
+
+
+def _build_ngraph_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, required=True, help="degree, at least 2")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+
+def _solve_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", required=True, help="degree or inclusive range a..b")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+
+def _export_wcnf_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, required=True, help="degree, at least 2")
+
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", required=True, help="degree or inclusive range a..b")
+    p.add_argument(
+        "--opt",
+        action="store_true",
+        help="one row per degree with the optimal and formula thresholds",
+    )
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--bound",
+        action="store_true",
+        help="integer comparison of alpha(tau(d), d) against 1/2 + 9/(32 sqrt(d))",
+    )
+    # None marks --dmax as unset, so cmd_verify can reject it with --appendix
+    p.add_argument("--dmax", type=int, help="largest degree checked")
+    p.add_argument(
+        "--appendix",
+        metavar="N_LIST",
+        help="certified tail estimates at these comma-separated n (each >= 1500)",
+    )
+
+
+def _simulate_options(p: argparse.ArgumentParser) -> None:
+    _add_graph(p, tuple(FAMILIES))
+    p.add_argument("--in", dest="infile", metavar="PATH", help="edge list for --family file")
+    p.add_argument("--alg", required=True, choices=tuple(ALGORITHMS))
+    p.add_argument(
+        "--tau",
+        type=int,
+        help=(
+            "threshold for --alg threshold or virtual; defaults to the exact "
+            "optimum for the graph's degree"
+        ),
+    )
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    _add_seed(p)
+    p.add_argument("--per-edge", action="store_true", help="include per-edge cut counts")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+
+
+def _gen_graph_options(p: argparse.ArgumentParser) -> None:
+    _add_graph(p, [f for f in FAMILIES if f != "file"])
+    _add_seed(p)
+
+
+# each subcommand: its help line, the function that adds its options, and its
+# handler, in the order the top-level help lists them
+COMMANDS = {
+    "build-ngraph": (
+        "emit the weighted neighbourhood graph for degree d",
+        _build_ngraph_options,
+        cmd_build_ngraph,
+    ),
+    "solve": (
+        "exhaustive maximum cut of the neighbourhood graph "
+        f"(d up to {cutsearch.BRUTE_FORCE_MAX_DEGREE})",
+        _solve_options,
+        cmd_solve,
+    ),
+    "export-wcnf": (
+        "emit the neighbourhood max-cut instance in weighted DIMACS CNF",
+        _export_wcnf_options,
+        cmd_export_wcnf,
+    ),
+    "sweep": (
+        "CSV of threshold performance: per-tau values, or per-degree optima",
+        _sweep_options,
+        cmd_sweep,
+    ),
+    "verify": (
+        "check the proven lower-bound inequalities, JSON report",
+        _verify_options,
+        cmd_verify,
+    ),
+    "simulate": (
+        "Monte Carlo run of a one-round algorithm on a graph",
+        _simulate_options,
+        cmd_simulate,
+    ),
+    "gen-graph": (
+        "generate a graph and emit its edge list",
+        _gen_graph_options,
+        cmd_gen_graph,
+    ),
+}
+
+
+def _make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    A one-command parser lists every name in its usage line, as the full
+    parser does, so a usage error reads the same from either.  The full
+    parser keeps the default metavar, which its "invalid choice" error names.
+    """
     parser = argparse.ArgumentParser(
         prog="localcut",
         description=(
@@ -284,116 +413,26 @@ def _make_parser() -> argparse.ArgumentParser:
             "Exit codes: 0 ok, 1 verification/sampling failure, 2 usage."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p: argparse.ArgumentParser) -> None:
+    names = list(COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_options, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
         p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
-
-    def add_seed(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()  # --seed with --entropy is a usage error
-        group.add_argument(  # None when not given, so gen-graph can refuse it
-            "--seed",
-            type=_seed,
-            help=f"master seed in 0..2^64-1 (default {DEFAULT_SEED:#x})",
-        )
-        group.add_argument(
-            "--entropy",
-            action="store_true",
-            help="draw the seed from OS entropy and print it to stderr",
-        )
-
-    p = sub.add_parser("build-ngraph", help="emit the weighted neighbourhood graph for degree d")
-    p.add_argument("--d", type=int, required=True, help="degree, at least 2")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    add_out(p)
-    p.set_defaults(func=cmd_build_ngraph)
-
-    p = sub.add_parser(
-        "solve",
-        help=(
-            "exhaustive maximum cut of the neighbourhood graph "
-            f"(d up to {cutsearch.BRUTE_FORCE_MAX_DEGREE})"
-        ),
-    )
-    p.add_argument("--d", required=True, help="degree or inclusive range a..b")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    add_out(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser(
-        "export-wcnf",
-        help="emit the neighbourhood max-cut instance in weighted DIMACS CNF",
-    )
-    p.add_argument("--d", type=int, required=True, help="degree, at least 2")
-    add_out(p)
-    p.set_defaults(func=cmd_export_wcnf)
-
-    p = sub.add_parser(
-        "sweep",
-        help="CSV of threshold performance: per-tau values, or per-degree optima",
-    )
-    p.add_argument("--d", required=True, help="degree or inclusive range a..b")
-    p.add_argument(
-        "--opt",
-        action="store_true",
-        help="one row per degree with the optimal and formula thresholds",
-    )
-    add_out(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="check the proven lower-bound inequalities, JSON report")
-    p.add_argument(
-        "--bound",
-        action="store_true",
-        help="integer comparison of alpha(tau(d), d) against 1/2 + 9/(32 sqrt(d))",
-    )
-    # None marks --dmax as unset, so cmd_verify can reject it with --appendix
-    p.add_argument("--dmax", type=int, help="largest degree checked")
-    p.add_argument(
-        "--appendix",
-        metavar="N_LIST",
-        help="certified tail estimates at these comma-separated n (each >= 1500)",
-    )
-    add_out(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="Monte Carlo run of a one-round algorithm on a graph")
-    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
-    p.add_argument("--n", type=int, help="size parameter where the family needs it")
-    p.add_argument("--in", dest="infile", metavar="PATH", help="edge list for --family file")
-    p.add_argument("--alg", required=True, choices=tuple(ALGORITHMS))
-    p.add_argument(
-        "--tau",
-        type=int,
-        help=(
-            "threshold for --alg threshold or virtual; defaults to the exact "
-            "optimum for the graph's degree"
-        ),
-    )
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    add_seed(p)
-    p.add_argument("--per-edge", action="store_true", help="include per-edge cut counts")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    add_out(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("gen-graph", help="generate a graph and emit its edge list")
-    p.add_argument("--family", required=True, choices=[f for f in FAMILIES if f != "file"])
-    p.add_argument("--d", type=int, help="degree / dimension where the family needs it")
-    p.add_argument("--n", type=int, help="size parameter where the family needs it")
-    add_seed(p)
-    add_out(p)
-    p.set_defaults(func=cmd_gen_graph)
-
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named subcommand's options are built; any other argv (help, no
+    # command, an unknown one) gets the full parser and its messages
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _make_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,8 +111,9 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
     q = [(sa - a) * a + sb * v for a, v in zip(a1, x)]
 
     top: dict[int, int] = {}  # the largest q at each x, over all masks
-    for v, w in zip(x, q):
-        top[v] = max(top.get(v, w), w)
+    for v, w in zip(x, q):  # weights >= 0 and a1 <= sum(A), so every q >= 0 > -1
+        if w > top.get(v, -1):
+            top[v] = w
     hull: list[tuple[int, int]] = []  # upper hull, x ascending
     for px, py in sorted(top.items()):
         while len(hull) > 1:
@@ -124,7 +125,8 @@ def brute_force_max_cut(g: WeightedNgraph) -> tuple[CutAssignment, Fraction]:
 
     side_a: dict[int, int] = {}  # the largest q at each x, over side a's masks
     for v, w in zip(x[::2], q[::2]):  # even masks: (a,0) on 'a'
-        side_a[v] = max(side_a.get(v, w), w)
+        if w > side_a.get(v, -1):
+            side_a[v] = w
     # side-a x -> max over mb of q[mb] - 2 * x * x[mb]
     reach = {v: max(hy - 2 * v * hx for hx, hy in hull) for v in side_a}
     best = max(w + reach[v] for v, w in side_a.items())

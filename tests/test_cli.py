@@ -140,6 +140,21 @@ def test_solve_above_cap_points_to_wcnf(capsys):
     )
 
 
+def test_solve_over_a_huge_range_is_refused_without_listing_it(capsys):
+    # a million degrees listed would trace tens of MB before the refusal
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--d", "2..1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (2, (
+        "error: exhaustive search is capped at d = 16 (asked for d = 17); "
+        "use the export-wcnf subcommand and an external MaxSAT solver\n"
+    ))
+    assert peak < 1 << 20, peak
+
+
 def test_solve_rejects_bad_ranges(capsys):
     assert run(capsys, "solve", "--d", "5..2")[0] == 2
     assert run(capsys, "solve", "--d", "1")[0] == 2
@@ -804,3 +819,65 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "3/4" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the parser: main builds only the named subcommand's
+
+
+def parse_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits: help or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+# the full parser's usage line, as any argv that names no command gets it
+FULL_USAGE = (
+    "usage: localcut [-h]\n"
+    "                {build-ngraph,solve,export-wcnf,sweep,verify,simulate,gen-graph}\n"
+    "                ...\n"
+)
+
+
+# the least argv each subcommand parses
+MINIMAL_ARGV = {
+    "build-ngraph": ["--d", "3"],
+    "solve": ["--d", "3"],
+    "export-wcnf": ["--d", "3"],
+    "sweep": ["--d", "3"],
+    "verify": ["--bound"],
+    "simulate": ["--family", "petersen", "--alg", "uniform"],
+    "gen-graph": ["--family", "petersen"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_prints_the_full_parsers_text(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    for argv in ([name, "--help"], [name, "--out"], [name, *MINIMAL_ARGV[name], "--bogus", "x"]):
+        full = parse_exit(capsys, cli._make_parser().parse_args, argv)
+        assert parse_exit(capsys, cli._make_parser(name).parse_args, argv) == full
+        assert parse_exit(capsys, main, argv) == full
+    code, out, err = full  # unrecognized: the top-level parser's error, naming every command
+    assert (code, out) == (2, "")
+    assert err.startswith(FULL_USAGE)
+
+
+@pytest.mark.parametrize("argv, code, head, says", [
+    (["--help"], 0, FULL_USAGE + "\nSynthesise, analyse, and simulate one-round",
+     "Exit codes: 0 ok, 1 verification/sampling failure, 2\nusage.\n"),
+    ([], 2, FULL_USAGE, "localcut: error: the following arguments are required: command\n"),
+    (["bogus"], 2, FULL_USAGE, "localcut: error: argument command: invalid choice: 'bogus'"),
+    (["-x", "solve"], 2, "usage: localcut solve [-h] --d D",
+     "localcut solve: error: the following arguments are required: --d\n"),
+], ids=["help", "no-command", "unknown-command", "option-before-command"])
+def test_any_other_argv_gets_the_full_parsers_text(capsys, monkeypatch, argv, code, head, says):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, out, err = parse_exit(capsys, main, argv)
+    text = out + err
+    assert got == code
+    assert text.startswith(head) and says in text, text
+    if argv == ["--help"]:
+        assert all(f"    {name} " in out for name in cli.COMMANDS)
